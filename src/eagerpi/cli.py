@@ -1,9 +1,11 @@
 """Command surface: check, step, run, translate, bisim, correspond.
 
 Exit codes: 0 success, 1 semantic failure (type error, distinguished,
-missing witness), 2 parse error, 3 inconclusive. Every command accepts
---json to emit line-delimited records instead of prose. The environment
-variable EAGERPI_MAX_STATES caps state-space sizes.
+missing witness), 2 unusable input (parse error, missing file or name,
+invalid argument, input nested too deeply), 3 inconclusive. Every command
+accepts --json to emit line-delimited records instead of prose. The
+environment variable EAGERPI_MAX_STATES (a positive integer) caps
+state-space sizes.
 """
 
 from __future__ import annotations
@@ -26,11 +28,32 @@ from .translate import Translator, translate_contexts, translate_strict
 from .typecheck import SessionTypeError, infer_context, typecheck
 
 
+class UsageError(Exception):
+    pass
+
+
 def _max_states(default=6000):
+    text = os.environ.get("EAGERPI_MAX_STATES", str(default))
     try:
-        return int(os.environ.get("EAGERPI_MAX_STATES", default))
+        value = int(text)
     except ValueError:
-        return default
+        value = 0
+    if value < 1:
+        raise UsageError(f"EAGERPI_MAX_STATES must be a positive integer, "
+                         f"not {text!r}")
+    return value
+
+
+def _natural(text):
+    """argparse type of bounds and depths: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text!r}")
+    return value
 
 
 def _emit(args, record, text):
@@ -72,7 +95,7 @@ def cmd_check(args):
         names = [args.name] if args.name else src.order
         for name in names:
             if name not in src.defs:
-                raise UnknownName(f"no definition named {name!r}")
+                raise UsageError(f"no definition named {name!r}")
             proc, freemap, ctx = src.defs[name]
             if args.ctx is not None:
                 ctx = _parse_ctx_arg(args.ctx, freemap, src.supply)
@@ -108,20 +131,16 @@ def cmd_check(args):
     return 1 if failures else 0
 
 
-class UnknownName(Exception):
-    pass
-
-
 def _pi_def(src, name):
     if name not in src.defs:
-        raise UnknownName(f"no definition named {name!r}")
+        raise UsageError(f"no definition named {name!r}")
     proc, _, _ = src.defs[name]
     return proc
 
 
 def _lc_def(src, name):
     if name not in src.defs:
-        raise UnknownName(f"no definition named {name!r}")
+        raise UsageError(f"no definition named {name!r}")
     return src.defs[name][0]
 
 
@@ -150,10 +169,10 @@ def cmd_step(args):
                 print(f"  [{i}] {st.redex.rule} on {st.redex.cut.display}")
             return int(input("step> "))
         tr = trace(proc, args.bound, "interactive", chooser=chooser,
-                   max_states=_max_states())
+                   max_states=args.max_states)
     else:
         tr = trace(proc, args.bound, "random", seed=args.seed,
-                   max_states=_max_states())
+                   max_states=args.max_states)
     for rec in tr.records():
         _emit(args, rec,
               f"{rec['node']:>4} <- {str(rec['parent']):>4} "
@@ -165,7 +184,7 @@ def cmd_run(args):
     kind, src = _load(args.file)
     if kind == "lc":
         term = _lc_def(src, args.name)
-        terms, truncated = L.reachable(term, args.bound, _max_states())
+        terms, truncated = L.reachable(term, args.bound, args.max_states)
         normal = [t for t in terms if not L.step_all(t)]
         for t in normal:
             _emit(args, {"normal": lam_text(t)}, lam_text(t))
@@ -173,7 +192,7 @@ def cmd_run(args):
             _emit(args, {"warning": "bound exhausted"}, "-- bound exhausted")
         return 0
     proc = _pi_def(src, args.name)
-    tr = trace(proc, args.bound, max_states=_max_states())
+    tr = trace(proc, args.bound, max_states=args.max_states)
     for node in tr.leaves():
         _emit(args, {"normal": process_text(node.process, canonical=True)},
               process_text(node.process, canonical=True))
@@ -209,7 +228,7 @@ def cmd_bisim(args):
     kind, src = _load(args.file)
     p = _pi_def(src, args.p)
     q = _pi_def(src, args.q)
-    res = bisim_eager(p, q, depth=args.depth, max_states=_max_states())
+    res = bisim_eager(p, q, depth=args.depth, max_states=args.max_states)
     _emit(args, {"verdict": res.verdict, "witness": res.witness},
           res.verdict if not res.witness
           else res.verdict + "\n" + "\n".join(f"  {w}" for w in res.witness))
@@ -222,7 +241,7 @@ def cmd_correspond(args):
         print("correspond expects a .lc file", file=sys.stderr)
         return 2
     term = _lc_def(src, args.name)
-    ms = _max_states()
+    ms = args.max_states
     comp = check_loose_completeness(term, args.bound, ms)
     snd = check_loose_soundness(term, args.bound, ms)
     sens = check_success_sensitivity(term, args.bound, ms)
@@ -255,14 +274,14 @@ def main(argv=None):
     s.add_argument("--all", action="store_true")
     s.add_argument("--interactive", action="store_true")
     s.add_argument("--seed", type=int)
-    s.add_argument("--bound", type=int, default=64)
+    s.add_argument("--bound", type=_natural, default=64)
     s.add_argument("--json", action="store_true")
     s.set_defaults(fn=cmd_step)
 
     r = sub.add_parser("run", help="reduce to normal forms")
     r.add_argument("file")
     r.add_argument("name")
-    r.add_argument("--bound", type=int, default=64)
+    r.add_argument("--bound", type=_natural, default=64)
     r.add_argument("--json", action="store_true")
     r.set_defaults(fn=cmd_run)
 
@@ -277,19 +296,20 @@ def main(argv=None):
     b.add_argument("file")
     b.add_argument("p")
     b.add_argument("q")
-    b.add_argument("--depth", type=int, default=12)
+    b.add_argument("--depth", type=_natural, default=12)
     b.add_argument("--json", action="store_true")
     b.set_defaults(fn=cmd_bisim)
 
     co = sub.add_parser("correspond", help="translation correspondence")
     co.add_argument("file")
     co.add_argument("name")
-    co.add_argument("--bound", type=int, default=30)
+    co.add_argument("--bound", type=_natural, default=30)
     co.add_argument("--json", action="store_true")
     co.set_defaults(fn=cmd_correspond)
 
     args = ap.parse_args(argv)
     try:
+        args.max_states = _max_states()
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
@@ -297,8 +317,11 @@ def main(argv=None):
     except (SessionTypeError, LamTypeError) as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (FileNotFoundError, UnknownName) as e:
+    except (FileNotFoundError, UsageError) as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
         return 2
 
 

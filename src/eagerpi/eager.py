@@ -10,6 +10,7 @@ the other branches (congruence rule for sums).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -155,13 +156,6 @@ class Trace:
     nodes: dict  # node_id -> TraceNode
     truncated: bool = False
 
-    def node_for(self, p: Process) -> Optional[TraceNode]:
-        k = term_key(scope_normalize(p))
-        for n in self.nodes.values():
-            if term_key(n.process) == k:
-                return n
-        return None
-
     def leaves(self):
         return [n for n in self.nodes.values()
                 if n.expanded and not n.successors]
@@ -211,44 +205,40 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
           seed: int = 0, max_states: int = 20000,
           chooser: Optional[Callable] = None) -> Trace:
     """Reduction tree to depth `bound` with nodes deduplicated by canonical
-    form. Strategies: exhaustive (full tree), random (seeded single path),
-    interactive (chooser picks a step index at each node)."""
+    form. Strategies: exhaustive (full tree, expanded breadth-first, so a
+    node's depth is its least distance from the root), random (seeded
+    single path), interactive (chooser picks a step index at each node)."""
     cp = scope_normalize(p)
     nodes = {}
     index = {}
     tr = Trace(0, nodes)
 
     def intern(q, depth):
+        """(node id, node, whether it is new)."""
         k = term_key(q)
         if k in index:
             nid = index[k]
-            node = nodes[nid]
-            if depth < node.depth:
-                node.depth = depth
-            return nid, node
+            return nid, nodes[nid], False
         nid = len(nodes)
         index[k] = nid
         node = TraceNode(nid, q, depth)
         nodes[nid] = node
-        return nid, node
+        return nid, node, True
 
-    root_id, root = intern(cp, 0)
+    root_id, root, _ = intern(cp, 0)
     if strategy == "exhaustive":
-        frontier = [root_id]
+        frontier = deque([root_id])
         while frontier:
-            nid = frontier.pop()
-            node = nodes[nid]
-            if node.expanded:
-                continue
+            node = nodes[frontier.popleft()]
             if node.depth >= bound:
                 node.bound_exhausted = bool(step_all(node.process))
                 tr.truncated = tr.truncated or node.bound_exhausted
                 continue
             node.expanded = True
             for st in step_all(node.process):
-                cid, child = intern(st.target, node.depth + 1)
+                cid, _, new = intern(st.target, node.depth + 1)
                 node.successors.append((f"{st.redex.rule}@{st.redex.cut.display}", cid))
-                if not child.expanded:
+                if new:
                     frontier.append(cid)
             if len(nodes) > max_states:
                 tr.truncated = True
@@ -268,7 +258,7 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
             node.expanded = True
-            cid, child = intern(st.target, node.depth + 1)
+            cid, child, _ = intern(st.target, node.depth + 1)
             node.successors.append((f"{st.redex.rule}@{st.redex.cut.display}", cid))
             nid, node = cid, child
         else:

@@ -143,64 +143,66 @@ def has_unguarded_success(p: Process) -> bool:
 
 def nd_precongruence(p: Process, q: Process) -> bool:
     """P >=+ Q: derivable from reflexivity, sum projection, and congruence
-    under parallel and restriction, decided modulo canonical forms."""
-    return _prec(canonicalize(p), {}, canonicalize(q), {}, 0)
+    under parallel and restriction, decided modulo canonical forms.
+
+    A canonical form's key holds its children's keys in the order of its
+    children (sum and parallel parts, the two sides of a restriction), so
+    the comparison reads every key from the two states' keys and re-keys
+    nothing; states that are already canonical cost nothing to prepare."""
+    cp, cq = canonicalize(p), canonicalize(q)
+    return _prec(cp, term_key(cp), cq, term_key(cq))
 
 
-def _prec(p, envp, q, envq, depth) -> bool:
-    if term_key(p, envp, depth) == term_key(q, envq, depth):
+def _prec(p, kp, q, kq) -> bool:
+    if kp == kq:
         return True
     if isinstance(p, NDChoice):
-        branches = sum_parts(p)
         if isinstance(q, NDChoice):
             # projection reaches exactly the sub-sums of p
-            pk = {term_key(b, envp, depth) for b in branches}
-            return all(term_key(b, envq, depth) in pk for b in sum_parts(q))
-        return any(_prec(b, envp, q, envq, depth) for b in branches)
+            return set(kq[1]) <= set(kp[1])
+        return any(_prec(b, kb, q, kq) for b, kb in zip(sum_parts(p), kp[1]))
     if isinstance(p, Par) and isinstance(q, Par):
-        ps, qs = par_parts(p), par_parts(q)
-        if len(ps) > len(qs):
-            return False
-        return _match_par(ps, envp, qs, envq, depth)
+        ps = list(zip(par_parts(p), kp[1]))
+        qs = list(zip(par_parts(q), kq[1]))
+        return len(ps) <= len(qs) and _match_par(ps, qs)
     if isinstance(p, Restrict) and isinstance(q, Restrict):
-        envp2 = {**envp, p.x: depth}
-        envq2 = {**envq, q.x: depth}
-        d = depth + 1
-        return ((_prec(p.left, envp2, q.left, envq2, d)
-                 and _prec(p.right, envp2, q.right, envq2, d))
-                or (_prec(p.left, envp2, q.right, envq2, d)
-                    and _prec(p.right, envp2, q.left, envq2, d)))
+        _, kpl, kpr = kp
+        _, kql, kqr = kq
+        return ((_prec(p.left, kpl, q.left, kql)
+                 and _prec(p.right, kpr, q.right, kqr))
+                or (_prec(p.left, kpl, q.right, kqr)
+                    and _prec(p.right, kpr, q.left, kql)))
     return False
 
 
-def _match_par(ps, envp, qs, envq, depth) -> bool:
+def _match_par(ps, qs) -> bool:
     """Partition the flattened right components among the left ones: a sum
     on the left may project onto a parallel of several right components,
-    every other component covers exactly one."""
+    every other component covers exactly one. Components are (process,
+    key) pairs."""
     if not ps:
         return not qs
-    p0, rest = ps[0], ps[1:]
+    (p0, k0), rest = ps[0], ps[1:]
     if not isinstance(p0, NDChoice):
-        for i, q0 in enumerate(qs):
-            if _prec(p0, envp, q0, envq, depth) and \
-                    _match_par(rest, envp, qs[:i] + qs[i + 1:], envq, depth):
+        for i, (q0, kq0) in enumerate(qs):
+            if _prec(p0, k0, q0, kq0) and \
+                    _match_par(rest, qs[:i] + qs[i + 1:]):
                 return True
         return False
     n = len(qs)
     max_take = n - len(rest)
     for size in range(1, max_take + 1):
-        for subset in _combinations(range(n), size):
+        for subset in combinations(range(n), size):
             chosen = [qs[i] for i in subset]
             remaining = [qs[i] for i in range(n) if i not in subset]
-            target = chosen[0] if len(chosen) == 1 else par_all(chosen)
-            if _prec(p0, envp, target, envq, depth) and \
-                    _match_par(rest, envp, remaining, envq, depth):
+            if len(chosen) == 1:
+                target, kt = chosen[0]
+            else:
+                target = par_all([c for c, _ in chosen])
+                kt = ("par", tuple(k for _, k in chosen))
+            if _prec(p0, k0, target, kt) and _match_par(rest, remaining):
                 return True
     return False
-
-
-def _combinations(idx, size):
-    return combinations(idx, size)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +396,19 @@ def _translate_fresh(m, u_display="u"):
 
 
 def _reach_closure(nodes, seeds):
+    """The seeds and every node with a path into them: one breadth-first
+    search over the reversed edges."""
+    preds = {}
+    for key, node in nodes.items():
+        for _, k2 in node.succ:
+            preds.setdefault(k2, []).append(key)
     hit = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for key, node in nodes.items():
-            if key not in hit and any(k2 in hit for _, k2 in node.succ):
-                hit.add(key)
-                changed = True
+    queue = list(hit)
+    for key in queue:
+        for k2 in preds.get(key, ()):
+            if k2 not in hit:
+                hit.add(k2)
+                queue.append(k2)
     return hit
 
 

@@ -9,11 +9,21 @@ Structural identity of processes is alpha-invariant: `term_key` serializes
 a process with de Bruijn levels for bound names and display strings for
 free names, and every set-like operation (canonical sorting, reduct
 deduplication, state spaces) keys on it.
+
+Nodes are never mutated after construction; rewrites build new nodes and
+share unchanged subtrees. Two derived values are therefore cached on the
+nodes themselves: every node's free-name set (built from its children's
+sets), and on a canonical form computed at the root, its key. The
+canonical walk computes each node's key once, bottom-up, and a parent
+sorts, deduplicates and orients its children by the keys they returned, so
+`canonicalize` and `term_key` cost O(1) on a state that is already
+canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .names import Name, NameSupply, fresh_name
@@ -21,6 +31,8 @@ from .names import Name, NameSupply, fresh_name
 
 class Process:
     __slots__ = ()
+    _fn = None    # cached free-name set
+    _key = None   # set on canonical forms only: the key at the root
 
 
 @dataclass(eq=False)
@@ -181,55 +193,39 @@ def sum_parts(p: Process) -> list:
 # ---------------------------------------------------------------------------
 # Free names
 
-def free_names(p: Process) -> set:
-    """All free names of a process."""
-    out = set()
-    _fn(p, out, frozenset())
-    return out
+_NO_NAMES = frozenset()
 
 
-def _fn(p, out, bound):
+def free_names(p: Process) -> frozenset:
+    """All free names of a process (cached on the node)."""
+    fn = p._fn
+    if fn is not None:
+        return fn
     match p:
         case Inaction() | Success():
-            pass
+            fn = _NO_NAMES
         case Forward(x, y):
-            out.update(n for n in (x, y) if n not in bound)
+            fn = frozenset((x, y))
         case Par(l, r) | NDChoice(l, r):
-            _fn(l, out, bound)
-            _fn(r, out, bound)
+            fn = free_names(l) | free_names(r)
         case Restrict(x, l, r):
-            b = bound | {x}
-            _fn(l, out, b)
-            _fn(r, out, b)
+            fn = (free_names(l) | free_names(r)) - {x}
         case Output(x, y, pl, c):
-            if x not in bound:
-                out.add(x)
-            b = bound | {y}
-            _fn(pl, out, b)
-            _fn(c, out, b)
+            fn = (free_names(pl) | free_names(c)) - {y} | {x}
         case Input(x, y, c) | Client(x, y, c) | Server(x, y, c):
-            if x not in bound:
-                out.add(x)
-            _fn(c, out, bound | {y})
+            fn = free_names(c) - {y} | {x}
         case Select(x, _, c) | Wait(x, c) | SomeAvail(x, c):
-            if x not in bound:
-                out.add(x)
-            _fn(c, out, bound)
+            fn = free_names(c) | {x}
         case Branch(x, brs):
-            if x not in bound:
-                out.add(x)
-            for _, q in brs:
-                _fn(q, out, bound)
+            fn = frozenset({x}).union(*(free_names(q) for _, q in brs))
         case Close(x) | NoneAvail(x):
-            if x not in bound:
-                out.add(x)
+            fn = frozenset((x,))
         case Expect(x, deps, c):
-            if x not in bound:
-                out.add(x)
-            out.update(n for n in deps if n not in bound)
-            _fn(c, out, bound)
+            fn = free_names(c).union(deps, (x,))
         case _:
             raise TypeError(f"not a process: {p!r}")
+    p._fn = fn
+    return fn
 
 
 def free_name_split(p: Process):
@@ -438,6 +434,8 @@ def term_key(p: Process, env: Optional[dict] = None, depth: int = 0):
     their display string. Two processes are structurally equal (up to
     alpha) iff their keys are equal.
     """
+    if not env and depth == 0 and p._key is not None:
+        return p._key
     if env is None:
         env = {}
     match p:
@@ -510,66 +508,126 @@ def canonicalize(p: Process) -> Process:
     computed relative to the enclosing binders, so same-display bound
     names keep their identity.
     """
-    return _canon(p, {}, 0)
+    return _canonical(p)[0]
 
 
-def _canon(p: Process, env: dict, depth: int) -> Process:
+def _canonical(p: Process):
+    c, k = _walk(p, {}, 0, False)
+    c._key = k
+    return c, k
+
+
+_TAGS = {Input: "in", Client: "cli", Server: "srv", Wait: "wait",
+         SomeAvail: "psome"}
+
+
+def _walk(p: Process, env: dict, depth: int, swap: bool):
+    """(canonical form of p, its key), with the binders of `env` open at
+    levels below `depth`; the key is `term_key(form, env, depth)`.
+
+    A parent sorts, deduplicates and orients its children by the keys they
+    returned, so no subtree is keyed twice. With `swap`, every restriction
+    also takes the least-keyed instance of the nested-restriction swap
+    axiom. Unchanged nodes other than sums and parallels are returned as
+    they are.
+    """
+    if depth == 0 and not swap and p._key is not None:
+        return p, p._key
+    # cases in order of frequency in translated states
     match p:
-        case Inaction() | Success() | Close(_) | NoneAvail(_):
-            return p
+        case Wait(x, c) | SomeAvail(x, c):
+            cc, kc = _walk(c, env, depth, swap)
+            node = p if cc is c else type(p)(x, cc)
+            return node, (_TAGS[type(p)], name_key(x, env), kc)
+        case Expect(x, deps, c):
+            cc, kc = _walk(c, env, depth, swap)
+            if len(deps) > 1:
+                deps2 = tuple(sorted(set(deps),
+                                     key=lambda n: name_key(n, env)))
+            else:
+                deps2 = deps
+            node = p if cc is c and deps2 == deps else Expect(x, deps2, cc)
+            return node, ("exp", name_key(x, env),
+                          tuple(name_key(n, env) for n in deps2), kc)
+        case Input(x, y, c) | Client(x, y, c) | Server(x, y, c):
+            cc, kc = _walk(c, {**env, y: depth}, depth + 1, swap)
+            node = p if cc is c else type(p)(x, y, cc)
+            return node, (_TAGS[type(p)], name_key(x, env), kc)
+        case NoneAvail(x):
+            return p, ("pnone", name_key(x, env))
+        case Restrict(x, l, r):
+            env2 = {**env, x: depth}
+            cl, kl = _walk(l, env2, depth + 1, swap)
+            cr, kr = _walk(r, env2, depth + 1, swap)
+            # an unused server is garbage; the survivor moves up one level
+            for srv, other in ((cl, cr), (cr, cl)):
+                if isinstance(srv, Server) and srv.x == x \
+                        and x not in free_names(other):
+                    return _walk(other, env, depth, False)
+            if kr < kl:
+                cl, kl, cr, kr = cr, kr, cl, kl
+            node = p if cl is l and cr is r else Restrict(x, cl, cr)
+            key = ("res", kl, kr)
+            if swap:
+                for cand in _swap_candidates(node):
+                    c, k = _walk(cand, env, depth, False)
+                    if k < key:
+                        node, key = c, k
+            return node, key
+        case Output(x, y, pl, c):
+            env2 = {**env, y: depth}
+            cpl, kpl = _walk(pl, env2, depth + 1, swap)
+            cc, kc = _walk(c, env2, depth + 1, swap)
+            node = p if cpl is pl and cc is c else Output(x, y, cpl, cc)
+            return node, ("out", name_key(x, env), kpl, kc)
         case Forward(x, y):
-            if name_key(y, env) < name_key(x, env):
-                return Forward(y, x)
-            return p
+            kx, ky = name_key(x, env), name_key(y, env)
+            if ky < kx:
+                return Forward(y, x), ("fwd", ky, kx)
+            return p, ("fwd", kx, ky)
         case Par(_, _):
-            parts = []
+            items = []
             for q in par_parts(p):
-                cq = _canon(q, env, depth)
-                if not isinstance(cq, Inaction):
-                    parts.append(cq)
-            parts.sort(key=lambda q: term_key(q, env, depth))
-            return par_all(parts)
+                cq, kq = _walk(q, env, depth, swap)
+                if isinstance(cq, Par):   # a collected server's survivor
+                    items.extend(zip(par_parts(cq), kq[1]))
+                elif not isinstance(cq, Inaction):
+                    items.append((cq, kq))
+            items.sort(key=itemgetter(1))
+            if len(items) < 2:
+                return items[0] if items else (Inaction(), ("0",))
+            return (par_all([c for c, _ in items]),
+                    ("par", tuple(k for _, k in items)))
+        case Inaction():
+            return p, ("0",)
+        case Close(x):
+            return p, ("close", name_key(x, env))
+        case Success():
+            return p, ("ok",)
         case NDChoice(_, _):
             seen = {}
             for q in sum_parts(p):
-                cq = _canon(q, env, depth)
-                seen.setdefault(term_key(cq, env, depth), cq)
-            parts = [seen[k] for k in sorted(seen)]
-            return sum_all(parts)
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            cl, cr = _canon(l, env2, depth + 1), _canon(r, env2, depth + 1)
-            if isinstance(cl, Server) and cl.x == x and x not in free_names(cr):
-                return cr
-            if isinstance(cr, Server) and cr.x == x and x not in free_names(cl):
-                return cl
-            if term_key(cr, env2, depth + 1) < term_key(cl, env2, depth + 1):
-                cl, cr = cr, cl
-            return Restrict(x, cl, cr)
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return Output(x, y, _canon(pl, env2, depth + 1),
-                          _canon(c, env2, depth + 1))
-        case Input(x, y, c):
-            return Input(x, y, _canon(c, {**env, y: depth}, depth + 1))
-        case Client(x, y, c):
-            return Client(x, y, _canon(c, {**env, y: depth}, depth + 1))
-        case Server(x, y, c):
-            return Server(x, y, _canon(c, {**env, y: depth}, depth + 1))
-        case Select(x, lab, c):
-            return Select(x, lab, _canon(c, env, depth))
+                cq, kq = _walk(q, env, depth, swap)
+                pairs = (zip(sum_parts(cq), kq[1])
+                         if isinstance(cq, NDChoice) else ((cq, kq),))
+                for c, k in pairs:
+                    seen.setdefault(k, c)
+            keys = sorted(seen)
+            if len(keys) == 1:
+                return seen[keys[0]], keys[0]
+            return sum_all([seen[k] for k in keys]), ("sum", tuple(keys))
         case Branch(x, brs):
-            return Branch(x, tuple(sorted(
-                ((k, _canon(q, env, depth)) for k, q in brs),
-                key=lambda kv: kv[0])))
-        case Wait(x, c):
-            return Wait(x, _canon(c, env, depth))
-        case SomeAvail(x, c):
-            return SomeAvail(x, _canon(c, env, depth))
-        case Expect(x, deps, c):
-            deps2 = tuple(sorted(set(deps),
-                                 key=lambda n: name_key(n, env)))
-            return Expect(x, deps2, _canon(c, env, depth))
+            ordered = tuple(sorted(brs, key=lambda kv: kv[0]))
+            labels = [lab for lab, _ in ordered]
+            walked = [_walk(q, env, depth, swap) for _, q in ordered]
+            forms = tuple(zip(labels, (c for c, _ in walked)))
+            node = p if forms == brs else Branch(x, forms)
+            return node, ("bra", name_key(x, env),
+                          tuple(zip(labels, (k for _, k in walked))))
+        case Select(x, lab, c):
+            cc, kc = _walk(c, env, depth, swap)
+            node = p if cc is c else Select(x, lab, cc)
+            return node, ("sel", name_key(x, env), lab, kc)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -582,59 +640,67 @@ def is_inert(p: Process) -> bool:
 # ---------------------------------------------------------------------------
 # Scope normalization for state identity
 
-def _extrude(p: Process, env: dict, depth: int) -> Process:
+def _children(p: Process) -> tuple:
+    """The immediate subprocesses of p, in a fixed order."""
+    match p:
+        case Par(l, r) | NDChoice(l, r) | Restrict(_, l, r):
+            return (l, r)
+        case Output(_, _, pl, c):
+            return (pl, c)
+        case Input(_, _, c) | Client(_, _, c) | Server(_, _, c) \
+                | Select(_, _, c) | Wait(_, c) | SomeAvail(_, c) \
+                | Expect(_, _, c):
+            return (c,)
+        case Branch(_, brs):
+            return tuple(q for _, q in brs)
+    return ()
+
+
+def _with_children(p: Process, kids) -> Process:
+    """A node like p with the subprocesses `kids` (as ordered by
+    `_children`)."""
+    if isinstance(p, Branch):
+        labels = (k for k, _ in p.branches)
+        return Branch(p.x, tuple(zip(labels, kids)))
+    # every other node lists its subprocesses last among its fields
+    fields = [getattr(p, f) for f in p.__dataclass_fields__]
+    return type(p)(*fields[:len(fields) - len(kids)], *kids)
+
+
+def _map(p: Process, f) -> Process:
+    """p with f applied to each immediate subprocess; p itself when f
+    returns every subprocess unchanged."""
+    kids = _children(p)
+    new = tuple(f(q) for q in kids)
+    if all(a is b for a, b in zip(kids, new)):
+        return p
+    return _with_children(p, new)
+
+
+def _extrude(p: Process) -> Process:
     """One bottom-up pass of maximal scope extrusion: every parallel
     component of a restriction's sides that does not mention the bound
     name moves out (instances of the first scope axiom plus units)."""
-    match p:
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            l = _extrude(l, env2, depth + 1)
-            r = _extrude(r, env2, depth + 1)
-            outer = []
-            sides = []
-            for side in (l, r):
-                keep = []
-                for c in par_parts(side):
-                    if x in free_names(c):
-                        keep.append(c)
-                    else:
-                        outer.append(c)
-                sides.append(par_all(keep))
-            core: Process = Restrict(x, sides[0], sides[1])
-            if not outer:
-                return core
-            return par_all([core] + outer)
-        case Par(_, _):
-            return par_all([_extrude(q, env, depth) for q in par_parts(p)])
-        case NDChoice(l, r):
-            return NDChoice(_extrude(l, env, depth), _extrude(r, env, depth))
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return Output(x, y, _extrude(pl, env2, depth + 1),
-                          _extrude(c, env2, depth + 1))
-        case Input(x, y, c):
-            return Input(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Client(x, y, c):
-            return Client(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Server(x, y, c):
-            return Server(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Select(x, lab, c):
-            return Select(x, lab, _extrude(c, env, depth))
-        case Branch(x, brs):
-            return Branch(x, tuple((k, _extrude(q, env, depth)) for k, q in brs))
-        case Wait(x, c):
-            return Wait(x, _extrude(c, env, depth))
-        case SomeAvail(x, c):
-            return SomeAvail(x, _extrude(c, env, depth))
-        case Expect(x, deps, c):
-            return Expect(x, deps, _extrude(c, env, depth))
-        case _:
-            return p
+    node = _map(p, _extrude)
+    if not isinstance(node, Restrict):
+        return node
+    x = node.x
+    outer, sides = [], []
+    for side in (node.left, node.right):
+        parts = par_parts(side)
+        keep = [c for c in parts if x in free_names(c)]
+        if len(keep) < len(parts):
+            outer += [c for c in parts if x not in free_names(c)]
+            side = par_all(keep)
+        sides.append(side)
+    if not outer:
+        return node
+    return par_all([Restrict(x, sides[0], sides[1])] + outer)
 
 
 def _swap_candidates(p: Restrict):
-    """Applications of the nested-restriction swap axiom at this node."""
+    """Applications of the nested-restriction swap axiom at this node:
+    new x (new y (P|Q) | R) == new y (new x (P|R) | Q)."""
     x = p.x
     for a, b in ((p.left, p.right), (p.right, p.left)):
         if not isinstance(a, Restrict):
@@ -645,71 +711,21 @@ def _swap_candidates(p: Restrict):
                 yield Restrict(y, Restrict(x, inner_keep, b), inner_move)
 
 
-def _swap_pass(p: Process, env: dict, depth: int) -> Process:
-    match p:
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            l = _swap_pass(l, env2, depth + 1)
-            r = _swap_pass(r, env2, depth + 1)
-            node = _canon(Restrict(x, l, r), env, depth)
-            if isinstance(node, Restrict):
-                best = node
-                best_key = term_key(node, env, depth)
-                for cand in _swap_candidates(node):
-                    c = _canon(cand, env, depth)
-                    k = term_key(c, env, depth)
-                    if k < best_key:
-                        best, best_key = c, k
-                return best
-            return node
-        case Par(_, _):
-            return par_all([_swap_pass(q, env, depth) for q in par_parts(p)])
-        case NDChoice(l, r):
-            return NDChoice(_swap_pass(l, env, depth), _swap_pass(r, env, depth))
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return Output(x, y, _swap_pass(pl, env2, depth + 1),
-                          _swap_pass(c, env2, depth + 1))
-        case Input(x, y, c):
-            return Input(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Client(x, y, c):
-            return Client(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Server(x, y, c):
-            return Server(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Select(x, lab, c):
-            return Select(x, lab, _swap_pass(c, env, depth))
-        case Branch(x, brs):
-            return Branch(x, tuple((k, _swap_pass(q, env, depth)) for k, q in brs))
-        case Wait(x, c):
-            return Wait(x, _swap_pass(c, env, depth))
-        case SomeAvail(x, c):
-            return SomeAvail(x, _swap_pass(c, env, depth))
-        case Expect(x, deps, c):
-            return Expect(x, deps, _swap_pass(c, env, depth))
-        case _:
-            return p
-
-
 def scope_normalize(p: Process, limit: int = 50) -> Process:
     """Deterministic representative of a process modulo the scope axioms,
     used as state identity in reduction graphs: extrude maximally, then
     reorder permutable nested restrictions towards the least key. Every
     pass applies only structural-congruence axiom instances, so equal
-    normal forms imply congruent processes."""
-    p = canonicalize(p)
-    prev = None
+    normal forms imply congruent processes. The result is canonical, and
+    each pass's key comes out of its walk, so the fixpoint test is free."""
+    p, key = _canonical(p)
     for _ in range(limit):
-        k = term_key(p)
-        if k == prev:
-            return p
-        prev = k
-        p = canonicalize(_extrude(p, {}, 0))
-        p = _swap_pass(p, {}, 0)
+        p, k = _walk(_extrude(p), {}, 0, True)
+        p._key = k
+        if k == key:
+            break
+        key = k
     return p
-
-
-def state_key(p: Process):
-    return term_key(scope_normalize(p))
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +743,7 @@ def _scope_rewrites_top(p: Process) -> Iterator[Process]:
                 rest = parts[:i] + parts[i + 1:]
                 inner = par_all(rest) if rest else Inaction()
                 yield Par(Restrict(x, inner, r), c)
-        # swap: new x (new y (P|Q) | R) == new y (new x (P|R) | Q)
-        for l, r in ((p.left, p.right), (p.right, p.left)):
-            if isinstance(l, Restrict):
-                y = l.x
-                for il, ir in ((l.left, l.right), (l.right, l.left)):
-                    if x not in free_names(ir) and y not in free_names(r):
-                        yield Restrict(y, Restrict(x, il, r), ir)
+        yield from _swap_candidates(p)
     # intrusion: new x (P|R) | Q == new x ((P|Q) | R)
     if isinstance(p, Par):
         parts = par_parts(p)
@@ -751,56 +761,11 @@ def _scope_rewrites_top(p: Process) -> Iterator[Process]:
 
 def scope_rewrites(p: Process) -> Iterator[Process]:
     """All single applications of the scope axioms at any position."""
-    for q in _scope_rewrites_top(p):
-        yield q
-    match p:
-        case Par(l, r):
-            for l2 in scope_rewrites(l):
-                yield Par(l2, r)
-            for r2 in scope_rewrites(r):
-                yield Par(l, r2)
-        case NDChoice(l, r):
-            for l2 in scope_rewrites(l):
-                yield NDChoice(l2, r)
-            for r2 in scope_rewrites(r):
-                yield NDChoice(l, r2)
-        case Restrict(x, l, r):
-            for l2 in scope_rewrites(l):
-                yield Restrict(x, l2, r)
-            for r2 in scope_rewrites(r):
-                yield Restrict(x, l, r2)
-        case Output(x, y, pl, c):
-            for pl2 in scope_rewrites(pl):
-                yield Output(x, y, pl2, c)
-            for c2 in scope_rewrites(c):
-                yield Output(x, y, pl, c2)
-        case Input(x, y, c):
-            for c2 in scope_rewrites(c):
-                yield Input(x, y, c2)
-        case Client(x, y, c):
-            for c2 in scope_rewrites(c):
-                yield Client(x, y, c2)
-        case Server(x, y, c):
-            for c2 in scope_rewrites(c):
-                yield Server(x, y, c2)
-        case Select(x, lab, c):
-            for c2 in scope_rewrites(c):
-                yield Select(x, lab, c2)
-        case Branch(x, brs):
-            for i, (k, b) in enumerate(brs):
-                for b2 in scope_rewrites(b):
-                    yield Branch(x, brs[:i] + ((k, b2),) + brs[i + 1:])
-        case Wait(x, c):
-            for c2 in scope_rewrites(c):
-                yield Wait(x, c2)
-        case SomeAvail(x, c):
-            for c2 in scope_rewrites(c):
-                yield SomeAvail(x, c2)
-        case Expect(x, deps, c):
-            for c2 in scope_rewrites(c):
-                yield Expect(x, deps, c2)
-        case _:
-            pass
+    yield from _scope_rewrites_top(p)
+    kids = _children(p)
+    for i, q in enumerate(kids):
+        for q2 in scope_rewrites(q):
+            yield _with_children(p, kids[:i] + (q2,) + kids[i + 1:])
 
 
 def struct_congruent(p: Process, q: Process, bound: int = 4) -> bool:

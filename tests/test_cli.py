@@ -102,3 +102,42 @@ def test_seeded_step_deterministic(capsys):
     _, out2 = run(capsys, "step", corpus_path("movie.spi"), "Full",
                   "--seed", "5", "--bound", "8")
     assert out1 == out2
+
+
+def _cli(*argv, env=None):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    return subprocess.run([sys.executable, "-m", "eagerpi.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_deep_input_exits_2_without_traceback(tmp_path):
+    deep = tmp_path / "deep.spi"
+    deep.write_text("def D = " + "x#a. " * 400 + "0\n")
+    out = _cli("check", str(deep))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_negative_bound_exits_2():
+    out = _cli("run", corpus_path("movie.spi"), "Composition", "--bound", "-3")
+    assert out.returncode == 2
+    assert "bound exhausted" not in out.stdout
+
+
+def test_invalid_max_states_exits_2():
+    for value in ("abc", "0", "-5"):
+        out = _cli("run", corpus_path("movie.spi"), "Composition",
+                   env={"EAGERPI_MAX_STATES": value})
+        assert out.returncode == 2, value
+        assert "EAGERPI_MAX_STATES" in out.stderr
+        assert "Traceback" not in out.stderr
+    out = _cli("run", corpus_path("movie.spi"), "Composition",
+               env={"EAGERPI_MAX_STATES": "50"})
+    assert out.returncode == 0

@@ -186,3 +186,28 @@ def test_trace_bound_exhausted_flag(movie):
     tr = trace(movie.defs["Full"][0], 2)
     assert tr.truncated
     assert any(n.bound_exhausted for n in tr.nodes.values())
+
+
+def _bfs_depths(nodes, root):
+    depths = {root: 0}
+    queue = [root]
+    for key in queue:
+        for _, k2 in nodes[key].succ:
+            if k2 not in depths:
+                depths[k2] = depths[key] + 1
+                queue.append(k2)
+    return depths
+
+
+def test_exhaustive_trace_depths_are_minimal(generated):
+    # G098 reaches some states by paths of different lengths; a depth-first
+    # trace once found 20 of its 21 states at bound 6 and reported three
+    # depths one too high
+    from eagerpi.equivalence import explore
+    p = generated.defs["G098"][0]
+    tr = trace(p, 6)
+    nodes, root, truncated = explore(p, 6)
+    assert len(tr.nodes) == len(nodes) == 21
+    assert not tr.truncated and not truncated
+    depths = _bfs_depths(nodes, root)
+    assert {term_key(n.process): n.depth for n in tr.nodes.values()} == depths
