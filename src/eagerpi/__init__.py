@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .eager import step_all, trace  # noqa: F401
 from .equivalence import (bisim_eager, nd_precongruence,  # noqa: F401
-                          prefix_compatible, ready_prefixes, succeeds_lambda,
-                          succeeds_pi)
+                          prefix_compatible, ready_prefixes, succeeds_pi)
 from .lamtypes import check_wf, check_wt, embraces  # noqa: F401
 from .process import (canonicalize, free_name_split,  # noqa: F401
                       struct_congruent, substitute)

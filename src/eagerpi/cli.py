@@ -131,14 +131,8 @@ def cmd_check(args):
     return 1 if failures else 0
 
 
-def _pi_def(src, name):
-    if name not in src.defs:
-        raise UsageError(f"no definition named {name!r}")
-    proc, _, _ = src.defs[name]
-    return proc
-
-
-def _lc_def(src, name):
+def _def(src, name):
+    """The process or term defined as `name` in a loaded script."""
     if name not in src.defs:
         raise UsageError(f"no definition named {name!r}")
     return src.defs[name][0]
@@ -147,13 +141,13 @@ def _lc_def(src, name):
 def cmd_step(args):
     kind, src = _load(args.file)
     if kind == "lc":
-        term = _lc_def(src, args.name)
+        term = _def(src, args.name)
         steps = L.step_all(term)
         for tag, t in steps:
             _emit(args, {"rule": tag, "term": lam_text(t)},
                   f"{tag}: {lam_text(t)}")
         return 0
-    proc = _pi_def(src, args.name)
+    proc = _def(src, args.name)
     if args.all or (not args.interactive and args.seed is None):
         steps = step_all(proc)
         for st in steps:
@@ -180,24 +174,31 @@ def cmd_step(args):
     return 0
 
 
+def _warn_if_cut(args, cause):
+    """Name the bound that stopped a search, if one did."""
+    if cause != "none":
+        text = "state cap reached" if cause == "states" else "bound exhausted"
+        _emit(args, {"warning": text}, f"-- {text}")
+
+
 def cmd_run(args):
     kind, src = _load(args.file)
     if kind == "lc":
-        term = _lc_def(src, args.name)
-        terms, truncated = L.reachable(term, args.bound, args.max_states)
-        normal = [t for t in terms if not L.step_all(t)]
-        for t in normal:
-            _emit(args, {"normal": lam_text(t)}, lam_text(t))
-        if truncated:
-            _emit(args, {"warning": "bound exhausted"}, "-- bound exhausted")
+        term = _def(src, args.name)
+        nodes, _, cause, _ = L.reduction_graph(term, args.bound,
+                                               args.max_states)
+        for node in nodes.values():
+            if node.expanded and not node.successors:
+                _emit(args, {"normal": lam_text(node.state)},
+                      lam_text(node.state))
+        _warn_if_cut(args, cause)
         return 0
-    proc = _pi_def(src, args.name)
+    proc = _def(src, args.name)
     tr = trace(proc, args.bound, max_states=args.max_states)
     for node in tr.leaves():
         _emit(args, {"normal": process_text(node.process, canonical=True)},
               process_text(node.process, canonical=True))
-    if tr.truncated:
-        _emit(args, {"warning": "bound exhausted"}, "-- bound exhausted")
+    _warn_if_cut(args, tr.cause)
     return 0
 
 
@@ -206,7 +207,7 @@ def cmd_translate(args):
     if kind != "lc":
         print("translate expects a .lc file", file=sys.stderr)
         return 2
-    term = _lc_def(src, args.name)
+    term = _def(src, args.name)
     tr = Translator(NameSupply(args.seed or 1))
     u = tr.supply.fresh("u")
     proc = tr.term(term, u)
@@ -226,8 +227,8 @@ def cmd_translate(args):
 
 def cmd_bisim(args):
     kind, src = _load(args.file)
-    p = _pi_def(src, args.p)
-    q = _pi_def(src, args.q)
+    p = _def(src, args.p)
+    q = _def(src, args.q)
     res = bisim_eager(p, q, depth=args.depth, max_states=args.max_states)
     _emit(args, {"verdict": res.verdict, "witness": res.witness},
           res.verdict if not res.witness
@@ -240,21 +241,31 @@ def cmd_correspond(args):
     if kind != "lc":
         print("correspond expects a .lc file", file=sys.stderr)
         return 2
-    term = _lc_def(src, args.name)
+    term = _def(src, args.name)
     ms = args.max_states
     comp = check_loose_completeness(term, args.bound, ms)
     snd = check_loose_soundness(term, args.bound, ms)
     sens = check_success_sensitivity(term, args.bound, ms)
     ok = comp["ok"] and snd["ok"] and sens["agrees"]
+    # a check fails only where no bound or cap can have hidden a witness;
+    # completeness is cut for all its reducts or for none
+    comp_fail = not comp["ok"] and not comp["exhausted"]
+    snd_fail = snd["failures"] > 0
+    sens_fail = not sens["agrees"] and not sens["exhausted"]
+
+    def verdict(good, failed, yes="ok", no="FAIL"):
+        return yes if good else no if failed else "inconclusive"
+
     _emit(args, {"completeness": comp, "soundness": snd,
                  "success-sensitivity": sens, "ok": ok},
-          f"completeness: {'ok' if comp['ok'] else 'FAIL'} "
+          f"completeness: {verdict(comp['ok'], comp_fail)} "
           f"({len(comp['reducts'])} reducts)\n"
-          f"soundness: {'ok' if snd['ok'] else 'FAIL'} "
+          f"soundness: {verdict(snd['ok'], snd_fail)} "
           f"({snd['states']} states)\n"
-          f"success-sensitivity: {'agree' if sens['agrees'] else 'DISAGREE'} "
+          f"success-sensitivity: "
+          f"{verdict(sens['agrees'], sens_fail, 'agree', 'DISAGREE')} "
           f"(lambda={sens['lambda']}, pi={sens['pi']})")
-    return 0 if ok else 1
+    return 0 if ok else 1 if comp_fail or snd_fail or sens_fail else 3
 
 
 def main(argv=None):

@@ -10,10 +10,10 @@ the other branches (congruence rule for sums).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import graph
 from .contexts import Hole, commit, decompositions, plug
 from .names import Name
 from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
@@ -135,9 +135,7 @@ def step_all(p: Process) -> list:
 
 def normal_forms(p: Process, bound: int = 64, max_states: int = 20000):
     """All canonical normal forms reachable from p within `bound` steps."""
-    tree = trace(p, bound, max_states=max_states)
-    return [n.process for n in tree.nodes.values()
-            if n.expanded and not n.successors]
+    return [n.process for n in trace(p, bound, max_states=max_states).leaves()]
 
 
 @dataclass(eq=False)
@@ -154,7 +152,11 @@ class TraceNode:
 class Trace:
     root: int
     nodes: dict  # node_id -> TraceNode
-    truncated: bool = False
+    cause: str = "none"  # none | depth | states: what cut the search
+
+    @property
+    def truncated(self) -> bool:
+        return self.cause != "none"
 
     def leaves(self):
         return [n for n in self.nodes.values()
@@ -201,67 +203,49 @@ class Trace:
         return recs
 
 
+def _label(st: ReductionStep) -> str:
+    return f"{st.redex.rule}@{st.redex.cut.display}"
+
+
 def trace(p: Process, bound: int, strategy: str = "exhaustive",
           seed: int = 0, max_states: int = 20000,
           chooser: Optional[Callable] = None) -> Trace:
     """Reduction tree to depth `bound` with nodes deduplicated by canonical
-    form. Strategies: exhaustive (full tree, expanded breadth-first, so a
-    node's depth is its least distance from the root), random (seeded
+    form. Strategies: exhaustive (the reduction graph of `graph.explore`,
+    so a node's depth is its least distance from the root), random (seeded
     single path), interactive (chooser picks a step index at each node)."""
     cp = scope_normalize(p)
-    nodes = {}
-    index = {}
-    tr = Trace(0, nodes)
-
-    def intern(q, depth):
-        """(node id, node, whether it is new)."""
-        k = term_key(q)
-        if k in index:
-            nid = index[k]
-            return nid, nodes[nid], False
-        nid = len(nodes)
-        index[k] = nid
-        node = TraceNode(nid, q, depth)
-        nodes[nid] = node
-        return nid, node, True
-
-    root_id, root, _ = intern(cp, 0)
     if strategy == "exhaustive":
-        frontier = deque([root_id])
-        while frontier:
-            node = nodes[frontier.popleft()]
-            if node.depth >= bound:
-                node.bound_exhausted = bool(step_all(node.process))
-                tr.truncated = tr.truncated or node.bound_exhausted
-                continue
-            node.expanded = True
-            for st in step_all(node.process):
-                cid, _, new = intern(st.target, node.depth + 1)
-                node.successors.append((f"{st.redex.rule}@{st.redex.cut.display}", cid))
-                if new:
-                    frontier.append(cid)
-            if len(nodes) > max_states:
-                tr.truncated = True
-                break
-    else:
-        rng = random.Random(seed)
-        nid, node = root_id, root
-        for _ in range(bound):
-            steps = step_all(node.process)
-            if not steps:
-                node.expanded = True
-                break
-            if strategy == "random":
-                st = rng.choice(sorted(steps, key=lambda s: (s.redex.rule, term_key(s.target))))
-            elif strategy == "interactive":
-                st = steps[chooser(node.process, steps) % len(steps)]
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            node.expanded = True
-            cid, child, _ = intern(st.target, node.depth + 1)
-            node.successors.append((f"{st.redex.rule}@{st.redex.cut.display}", cid))
-            nid, node = cid, child
+        graph_nodes, _, cause, _ = graph.explore(
+            cp, lambda q: [(_label(st), st.target) for st in step_all(q)],
+            term_key, bound, max_states)
+        ids = {k: i for i, k in enumerate(graph_nodes)}
+        nodes = {i: TraceNode(i, n.state, n.depth, n.expanded,
+                              not n.expanded and n.has_steps,
+                              [(rule, ids[k]) for rule, k in n.successors])
+                 for i, n in enumerate(graph_nodes.values())}
+        return Trace(0, nodes, cause)
+    nodes = {0: TraceNode(0, cp, 0)}
+    index = {term_key(cp): 0}
+    rng = random.Random(seed)
+    node = nodes[0]
+    for _ in range(bound):
+        steps = step_all(node.process)
+        node.expanded = True
+        if not steps:
+            break
+        if strategy == "random":
+            st = rng.choice(sorted(steps, key=lambda s: (s.redex.rule, term_key(s.target))))
+        elif strategy == "interactive":
+            st = steps[chooser(node.process, steps) % len(steps)]
         else:
-            node.bound_exhausted = bool(step_all(node.process))
-            tr.truncated = tr.truncated or node.bound_exhausted
-    return tr
+            raise ValueError(f"unknown strategy {strategy!r}")
+        k = term_key(st.target)
+        if k not in index:
+            index[k] = len(nodes)
+            nodes[index[k]] = TraceNode(index[k], st.target, node.depth + 1)
+        node.successors.append((_label(st), index[k]))
+        node = nodes[index[k]]
+    else:
+        node.bound_exhausted = bool(step_all(node.process))
+    return Trace(0, nodes, "depth" if node.bound_exhausted else "none")

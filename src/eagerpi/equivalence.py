@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import graph
 from . import lam as L
 from .eager import step_all
 from .names import Name, NameSupply
@@ -208,50 +209,19 @@ def _match_par(ps, qs) -> bool:
 # ---------------------------------------------------------------------------
 # State-graph exploration
 
-@dataclass(eq=False)
-class _Node:
-    key: tuple
-    process: Process
-    succ: list
-    expanded: bool = False
-    has_steps: bool = False
+def _graph(p: Process, depth: int, max_states: int, goal=None):
+    """The eager reduction graph of p (see `graph.explore`)."""
+    return graph.explore(
+        scope_normalize(p),
+        lambda q: [(st.redex.rule, st.target) for st in step_all(q)],
+        term_key, depth, max_states, goal)
 
 
 def explore(p: Process, depth: int, max_states: int = 6000):
-    """Canonical state graph to the given depth; returns (nodes, root key,
-    truncated flag)."""
-    cp = scope_normalize(p)
-    root = term_key(cp)
-    nodes = {root: _Node(root, cp, [])}
-    frontier = [root]
-    truncated = False
-    for _ in range(depth):
-        if not frontier:
-            break
-        nxt = []
-        for key in frontier:
-            node = nodes[key]
-            if node.expanded:
-                continue
-            node.expanded = True
-            for st in step_all(node.process):
-                k = term_key(st.target)
-                if k not in nodes:
-                    nodes[k] = _Node(k, st.target, [])
-                    nxt.append(k)
-                node.succ.append((st.redex.rule, k))
-            node.has_steps = bool(node.succ)
-            if len(nodes) > max_states:
-                truncated = True
-                nxt = []
-                break
-        frontier = nxt
-    for key in frontier:
-        node = nodes[key]
-        if not node.expanded and step_all(node.process):
-            node.has_steps = True
-            truncated = True
-    return nodes, root, truncated
+    """Canonical state graph to the given depth; returns (nodes by key,
+    root key, truncated flag)."""
+    nodes, root, cause, _ = _graph(p, depth, max_states)
+    return nodes, root, cause != "none"
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +248,11 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
     gp, rp, tp = explore(p, depth, max_states)
     gq, rq, tq = explore(q, depth, max_states)
     truncated = tp or tq
-    sigs_p = {k: ready_signature(n.process) for k, n in gp.items()}
-    sigs_q = {k: ready_signature(n.process) for k, n in gq.items()}
+    sigs_p = {k: ready_signature(n.state) for k, n in gp.items()}
+    sigs_q = {k: ready_signature(n.state) for k, n in gq.items()}
 
     alive = {(a, b) for a in gp for b in gq if sigs_p[a] == sigs_q[b]}
-    reason = {}
-    for a in gp:
-        for b in gq:
-            if (a, b) not in alive:
-                reason[(a, b)] = ("ready", a, b)
+    reason = {}   # eliminated pair -> the move that eliminated it
 
     # Eliminations are only sound against a defender whose successor list
     # is complete, i.e. an expanded node; attacking from an unexpanded node
@@ -300,13 +266,13 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
             na, nb = gp[a], gq[b]
             why = None
             if nb.expanded:
-                for rule, a2 in na.succ:
-                    if not any((a2, b2) in alive for _, b2 in nb.succ):
+                for rule, a2 in na.successors:
+                    if not any((a2, b2) in alive for _, b2 in nb.successors):
                         why = ("left", rule, a2, b)
                         break
             if why is None and na.expanded:
-                for rule, b2 in nb.succ:
-                    if not any((a2, b2) in alive for _, a2 in na.succ):
+                for rule, b2 in nb.successors:
+                    if not any((a2, b2) in alive for _, a2 in na.successors):
                         why = ("right", rule, b2, a)
                         break
             if why is not None:
@@ -328,7 +294,7 @@ def _witness(a, b, gp, gq, sigs_p, sigs_q, alive, reason, limit=64):
     steps = []
     for _ in range(limit):
         why = reason.get((a, b))
-        if why is None or why[0] == "ready":
+        if why is None:   # the ready signatures differ
             only_p = sorted(map(str, sigs_p[a] - sigs_q[b]))
             only_q = sorted(map(str, sigs_q[b] - sigs_p[a]))
             steps.append({"kind": "ready-mismatch",
@@ -337,16 +303,16 @@ def _witness(a, b, gp, gq, sigs_p, sigs_q, alive, reason, limit=64):
         side, rule, tgt, other = why
         if side == "left":
             steps.append({"kind": "move", "side": "left", "rule": rule,
-                          "to": process_text(gp[tgt].process, canonical=True)})
-            responses = [b2 for _, b2 in gq[other].succ]
+                          "to": process_text(gp[tgt].state, canonical=True)})
+            responses = [b2 for _, b2 in gq[other].successors]
             if not responses:
                 steps.append({"kind": "no-response", "side": "right"})
                 return steps
             a, b = tgt, responses[0]
         else:
             steps.append({"kind": "move", "side": "right", "rule": rule,
-                          "to": process_text(gq[tgt].process, canonical=True)})
-            responses = [a2 for _, a2 in gp[other].succ]
+                          "to": process_text(gq[tgt].state, canonical=True)})
+            responses = [a2 for _, a2 in gp[other].successors]
             if not responses:
                 steps.append({"kind": "no-response", "side": "left"})
                 return steps
@@ -360,30 +326,8 @@ def _witness(a, b, gp, gq, sigs_p, sigs_q, alive, reason, limit=64):
 
 def succeeds_pi(p: Process, bound: int = 64, max_states: int = 6000):
     """(success reached, bound exhausted while undecided)."""
-    cp = scope_normalize(p)
-    seen = {term_key(cp)}
-    frontier = [cp]
-    for _ in range(bound + 1):
-        for t in frontier:
-            if has_unguarded_success(t):
-                return True, False
-        nxt = []
-        for t in frontier:
-            for st in step_all(t):
-                k = term_key(st.target)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(st.target)
-            if len(seen) > max_states:
-                return False, True
-        if not nxt:
-            return False, False
-        frontier = nxt
-    return False, True
-
-
-def succeeds_lambda(m, bound: int = 64):
-    return L.succeeds(m, bound)
+    _, _, cause, goal = _graph(p, bound, max_states, has_unguarded_success)
+    return goal is not None, cause != "none"
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +344,7 @@ def _reach_closure(nodes, seeds):
     search over the reversed edges."""
     preds = {}
     for key, node in nodes.items():
-        for _, k2 in node.succ:
+        for _, k2 in node.successors:
             preds.setdefault(k2, []).append(key)
     hit = set(seeds)
     queue = list(hit)
@@ -421,13 +365,10 @@ def check_loose_completeness(m, bound: int = 30, max_states: int = 6000):
     report = {"reducts": [], "ok": True, "exhausted": False}
     for tag, m2 in L.step_all(m):
         target = _translate_fresh(m2)
-        witness = None
-        for key, node in nodes.items():
-            if nd_precongruence(target, node.process):
-                witness = key
-                break
-        entry = {"rule": tag, "found": witness is not None,
-                 "exhausted": witness is None and truncated}
+        found = any(nd_precongruence(target, node.state)
+                    for node in nodes.values())
+        entry = {"rule": tag, "found": found,
+                 "exhausted": not found and truncated}
         report["reducts"].append(entry)
         report["ok"] = report["ok"] and entry["found"]
         report["exhausted"] = report["exhausted"] or entry["exhausted"]
@@ -439,26 +380,27 @@ def check_loose_soundness(m, bound: int = 30, max_states: int = 6000):
     reduct and a continuation of the process below that reduct's
     translation."""
     base = _translate_fresh(m)
-    lam_terms, lam_trunc = L.reachable(m, bound)
+    lam_terms, lam_trunc = L.reachable(m, bound, max_states)
     targets = [_translate_fresh(t) for t in lam_terms]
     nodes, _, truncated = explore(base, bound, max_states)
-    good = set()
-    for key, node in nodes.items():
-        if any(nd_precongruence(t, node.process) for t in targets):
-            good.add(key)
-    reach_good = _reach_closure(nodes, good)
-    unknown = {k for k, n in nodes.items() if not n.expanded and n.has_steps}
+    reach_good = _reach_closure(nodes, {
+        k for k, n in nodes.items()
+        if any(nd_precongruence(t, n.state) for t in targets)})
+    # a node is pending, not failed, when a bound may hide its match: it
+    # reaches a node cut off before all its steps were known, or the
+    # lambda graph was cut and may miss the reduct it matches
+    unknown = set(nodes) if lam_trunc else \
+        {k for k, n in nodes.items() if not n.expanded}
     reach_unknown = _reach_closure(nodes, unknown)
-    failures = [k for k in nodes if k not in reach_good and k not in reach_unknown]
-    pending = [k for k in nodes
-               if k not in reach_good and k in reach_unknown]
+    failures = set(nodes) - reach_good - reach_unknown
+    pending = set(nodes) - reach_good - failures
     return {"states": len(nodes), "ok": not failures and not pending,
             "failures": len(failures),
             "exhausted": bool(pending) or truncated or lam_trunc}
 
 
 def check_success_sensitivity(m, bound: int = 30, max_states: int = 6000):
-    lam_s, lam_flag = succeeds_lambda(m, bound)
+    lam_s, lam_flag = L.succeeds(m, bound, max_states)
     pi_s, pi_flag = succeeds_pi(_translate_fresh(m), bound, max_states)
     return {"lambda": lam_s, "pi": pi_s, "agrees": lam_s == pi_s,
             "exhausted": lam_flag or pi_flag}

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import graph
 from .names import Name, NameSupply, fresh_name
 
 
@@ -511,53 +512,26 @@ def step_all(m) -> list:
     return out
 
 
+def reduction_graph(m, bound: int, max_states: int = 20000, goal=None):
+    """The reduction graph of m within `bound` steps, keyed by alpha class
+    (see `graph.explore`)."""
+    return graph.explore(m, step_all, lam_key, bound, max_states, goal)
+
+
 def reachable(m, bound: int, max_states: int = 20000):
     """Terms reachable within `bound` steps, keyed by alpha class; returns
     (list of terms, truncated flag)."""
-    seen = {lam_key(m): m}
-    frontier = [m]
-    truncated = False
-    for _ in range(bound):
-        if not frontier:
-            break
-        nxt = []
-        for t in frontier:
-            for _, u in step_all(t):
-                k = lam_key(u)
-                if k not in seen:
-                    seen[k] = u
-                    nxt.append(u)
-            if len(seen) > max_states:
-                truncated = True
-                nxt = []
-                break
-        frontier = nxt
-    if frontier:
-        truncated = truncated or any(step_all(t) for t in frontier)
-    return list(seen.values()), truncated
+    nodes, _, cause, _ = reduction_graph(m, bound, max_states)
+    return [n.state for n in nodes.values()], cause != "none"
 
 
-def succeeds(m, bound: int = 64):
+def succeeds(m, bound: int = 64, max_states: int = 20000):
     """True iff some reduction sequence within `bound` steps reaches a term
-    whose head is the success constant; second component flags bound
-    exhaustion while still undecided."""
-    seen = {lam_key(m)}
-    frontier = [m]
-    for _ in range(bound + 1):
-        for t in frontier:
-            if isinstance(head(t), SuccessT):
-                return True, False
-        nxt = []
-        for t in frontier:
-            for _, u in step_all(t):
-                k = lam_key(u)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(u)
-        if not nxt:
-            return False, False
-        frontier = nxt
-    return False, True
+    whose head is the success constant; second component flags a bound or
+    the state cap exhausted while still undecided."""
+    _, _, cause, goal = reduction_graph(
+        m, bound, max_states, lambda t: isinstance(head(t), SuccessT))
+    return goal is not None, cause != "none"
 
 
 # ---------------------------------------------------------------------------

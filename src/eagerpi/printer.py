@@ -172,13 +172,6 @@ def lam_text(m: L.Term, canonical: bool = False) -> str:
     return _lam(m, _Namer(m, canonical, "lam"))
 
 
-def _lam_atom(m, nm):
-    text = _lam(m, nm)
-    if isinstance(m, L.Abs):
-        return f"({text})"
-    return text
-
-
 def _lam(m, nm):
     match m:
         case L.LinVar(v):

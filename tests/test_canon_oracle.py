@@ -50,7 +50,7 @@ def _raw_targets(roots, bound):
     seen = set()
     for root in roots:
         nodes, _, _ = explore(root, bound)
-        targets = [t for n in nodes.values() for _, t in _local_steps(n.process)]
+        targets = [t for n in nodes.values() for _, t in _local_steps(n.state)]
         for t in [root] + targets:
             k = ref.term_key(t)
             if k not in seen:

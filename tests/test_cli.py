@@ -141,3 +141,44 @@ def test_invalid_max_states_exits_2():
     out = _cli("run", corpus_path("movie.spi"), "Composition",
                env={"EAGERPI_MAX_STATES": "50"})
     assert out.returncode == 0
+
+
+def test_correspond_undecided_exits_3():
+    # the bound, or the state cap, runs out before T03's correspondence is
+    # decided: nothing failed, so the result is inconclusive, not FAIL
+    out = _cli("correspond", corpus_path("corr.lc"), "T03", "--bound", "2")
+    assert out.returncode == 3
+    assert "FAIL" not in out.stdout and "DISAGREE" not in out.stdout
+    out = _cli("correspond", corpus_path("corr.lc"), "T03",
+               env={"EAGERPI_MAX_STATES": "10"})
+    assert out.returncode == 3
+    assert "FAIL" not in out.stdout and "DISAGREE" not in out.stdout
+    out = _cli("correspond", corpus_path("corr.lc"), "T03")
+    assert out.returncode == 0
+
+
+def test_run_names_the_state_cap():
+    out = _cli("run", corpus_path("movie.spi"), "Full",
+               env={"EAGERPI_MAX_STATES": "2"})
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "-- state cap reached"
+    out = _cli("run", corpus_path("movie.spi"), "Full", "--json",
+               env={"EAGERPI_MAX_STATES": "2"})
+    assert json.loads(out.stdout.splitlines()[-1]) == \
+        {"warning": "state cap reached"}
+    out = _cli("run", corpus_path("ex32.lc"), "M",
+               env={"EAGERPI_MAX_STATES": "2"})
+    assert out.stdout.splitlines()[-1] == "-- state cap reached"
+    out = _cli("run", corpus_path("movie.spi"), "Full", "--bound", "2")
+    assert out.stdout.splitlines()[-1] == "-- bound exhausted"
+
+
+def test_complete_graph_at_the_bound_is_not_cut(capsys):
+    # G028 reaches 0 in one step, and its other step's target steps back
+    # into the graph: at bound 1 the graph is complete
+    code, out = run(capsys, "run", corpus_path("generated.spi"), "G028",
+                    "--bound", "1")
+    assert code == 0 and out.strip() == "0"
+    code, out = run(capsys, "bisim", corpus_path("generated.spi"), "G028",
+                    "G028", "--depth", "1")
+    assert code == 0 and out.strip() == "bisimilar"

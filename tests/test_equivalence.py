@@ -204,3 +204,25 @@ def S = new x (EarlyIn | Partner)
 """)
     res = bisim_eager(src.defs["R"][0], src.defs["S"][0])
     assert res.verdict == "distinguished"
+
+
+def test_soundness_states_cut_by_the_cap_are_pending(corr):
+    # the 10-state cap stops exploring T03's translation (26 states at
+    # bound 30) with queued states whose steps were never computed: they
+    # are unknown, not failures
+    from eagerpi.equivalence import check_loose_soundness
+    rep = check_loose_soundness(corr.defs["T03"][0], 30, max_states=10)
+    assert rep["failures"] == 0
+    assert not rep["ok"] and rep["exhausted"]
+
+
+def test_correspondence_lambda_side_respects_the_cap(corr):
+    # T14 reaches OK within 8 lambda terms; a cap of 4 cuts that search
+    from eagerpi import lam as L
+    from eagerpi.equivalence import check_success_sensitivity
+    m = corr.defs["T14"][0]
+    assert L.succeeds(m, 30) == (True, False)
+    assert L.succeeds(m, 30, max_states=4) == (False, True)
+    assert not L.reachable(m, 30)[1] and L.reachable(m, 30, 4)[1]
+    rep = check_success_sensitivity(m, 30, max_states=4)
+    assert not rep["lambda"] and rep["exhausted"]
