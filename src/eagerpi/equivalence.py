@@ -19,6 +19,7 @@ sum onto a sub-sum, and congruence under parallel and restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import graph
@@ -356,12 +357,23 @@ def _reach_closure(nodes, seeds):
     return hit
 
 
+@lru_cache(maxsize=1)
+def _correspondence(m, bound: int, max_states: int):
+    """(nodes, truncated) of the eager graph of m's translation and
+    (terms, truncated) of m's reduction graph, which the checks below
+    share, and must not change. They run back to back on one (term,
+    bound, cap); terms hash by identity and the one entry keeps its term
+    alive, so no new term matches it."""
+    nodes, _, truncated = explore(_translate_fresh(m), bound, max_states)
+    lam_terms, lam_trunc = L.reachable(m, bound, max_states)
+    return nodes, truncated, lam_terms, lam_trunc
+
+
 def check_loose_completeness(m, bound: int = 30, max_states: int = 6000):
     """For every reduction of the source term, search the eager graph of
     its translation for a process below the reduct's translation in the
     branch-count precongruence."""
-    base = _translate_fresh(m)
-    nodes, _, truncated = explore(base, bound, max_states)
+    nodes, truncated, _, _ = _correspondence(m, bound, max_states)
     report = {"reducts": [], "ok": True, "exhausted": False}
     for tag, m2 in L.step_all(m):
         target = _translate_fresh(m2)
@@ -379,10 +391,9 @@ def check_loose_soundness(m, bound: int = 30, max_states: int = 6000):
     """For every reachable process of the translation, find a source
     reduct and a continuation of the process below that reduct's
     translation."""
-    base = _translate_fresh(m)
-    lam_terms, lam_trunc = L.reachable(m, bound, max_states)
+    nodes, truncated, lam_terms, lam_trunc = \
+        _correspondence(m, bound, max_states)
     targets = [_translate_fresh(t) for t in lam_terms]
-    nodes, _, truncated = explore(base, bound, max_states)
     reach_good = _reach_closure(nodes, {
         k for k, n in nodes.items()
         if any(nd_precongruence(t, n.state) for t in targets)})
@@ -400,7 +411,15 @@ def check_loose_soundness(m, bound: int = 30, max_states: int = 6000):
 
 
 def check_success_sensitivity(m, bound: int = 30, max_states: int = 6000):
-    lam_s, lam_flag = L.succeeds(m, bound, max_states)
-    pi_s, pi_flag = succeeds_pi(_translate_fresh(m), bound, max_states)
-    return {"lambda": lam_s, "pi": pi_s, "agrees": lam_s == pi_s,
-            "exhausted": lam_flag or pi_flag}
+    """Whether the term and its translation agree on reaching success. A
+    side that found none in a cut graph is undecided, and so is the check.
+    The graphs hold any success that `lam.succeeds` and `succeeds_pi`
+    find, since those discover states in the same order."""
+    nodes, truncated, lam_terms, lam_trunc = \
+        _correspondence(m, bound, max_states)
+    lam_s = any(isinstance(L.head(t), L.SuccessT) for t in lam_terms)
+    pi_s = any(has_unguarded_success(n.state) for n in nodes.values())
+    exhausted = (not lam_s and lam_trunc) or (not pi_s and truncated)
+    return {"lambda": lam_s, "pi": pi_s,
+            "agrees": lam_s == pi_s and not exhausted,
+            "exhausted": exhausted}

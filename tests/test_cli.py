@@ -157,6 +157,13 @@ def test_correspond_undecided_exits_3():
     assert out.returncode == 0
 
 
+def test_correspond_cut_success_search_is_inconclusive(capsys):
+    code, out = run(capsys, "correspond", corpus_path("corr.lc"), "T01",
+                    "--bound", "2")
+    assert code == 3
+    assert "success-sensitivity: inconclusive" in out
+
+
 def test_run_names_the_state_cap():
     out = _cli("run", corpus_path("movie.spi"), "Full",
                env={"EAGERPI_MAX_STATES": "2"})

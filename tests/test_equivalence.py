@@ -177,6 +177,15 @@ def test_success_lambda_and_translation_agree(corr):
     assert rep["agrees"] and rep["lambda"] and rep["pi"]
 
 
+def test_success_sensitivity_cut_search_is_undecided(corr):
+    # T01 never succeeds, but bound 2 cuts both its graphs before they
+    # are complete: no success seen is not agreement
+    from eagerpi.equivalence import check_success_sensitivity
+    rep = check_success_sensitivity(corr.defs["T01"][0], 2)
+    assert not rep["lambda"] and not rep["pi"]
+    assert not rep["agrees"] and rep["exhausted"]
+
+
 def test_loose_completeness_value_vacuous(corr):
     from eagerpi.equivalence import check_loose_completeness
     rep = check_loose_completeness(corr.defs["T15"][0], 10)
@@ -210,10 +219,16 @@ def test_soundness_states_cut_by_the_cap_are_pending(corr):
     # the 10-state cap stops exploring T03's translation (26 states at
     # bound 30) with queued states whose steps were never computed: they
     # are unknown, not failures
-    from eagerpi.equivalence import check_loose_soundness
-    rep = check_loose_soundness(corr.defs["T03"][0], 30, max_states=10)
+    # an uncapped record of the same term and bound, read before and
+    # after, must neither answer the capped call nor be answered by it
+    from eagerpi.equivalence import (check_loose_completeness,
+                                     check_loose_soundness)
+    m = corr.defs["T03"][0]
+    assert check_loose_completeness(m, 30)["ok"]
+    rep = check_loose_soundness(m, 30, max_states=10)
     assert rep["failures"] == 0
     assert not rep["ok"] and rep["exhausted"]
+    assert check_loose_soundness(m, 30)["ok"]
 
 
 def test_correspondence_lambda_side_respects_the_cap(corr):
