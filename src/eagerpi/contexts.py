@@ -81,45 +81,32 @@ def is_dcontext(ctx: NDContext) -> bool:
     raise TypeError(f"not an ND-context: {ctx!r}")
 
 
-def _wrap(outer, inner):
-    """Compose contexts: outer[inner[.]]."""
-    match outer:
-        case Hole():
-            return inner
-        case NPar(c, rest):
-            return NPar(_wrap(c, inner), rest)
-        case NRes(x, c, rest):
-            return NRes(x, _wrap(c, inner), rest)
-        case NSum(c, rest):
-            return NSum(_wrap(c, inner), rest)
-    raise TypeError
-
-
 def decompositions(p: Process):
     """All ways to write p as N[q] with q a prefixed process, a forwarder,
     or the success constant. Parallel components and both sides of every
     sum are explored (the commutativity axioms make the hole reachable on
     either side)."""
     out = []
+    _decompose(p, lambda ctx: ctx, out)
+    return out
+
+
+def _decompose(p: Process, wrap, out: list):
+    """Append the decompositions of p to `out`, each context built once by
+    `wrap`, which puts it in the enclosing context."""
     if isinstance(p, PREFIXED) or isinstance(p, (Forward, Success)):
-        out.append((Hole(), p))
+        out.append((wrap(Hole()), p))
     elif isinstance(p, Par):
         parts = par_parts(p)
         for i, c in enumerate(parts):
-            rest = parts[:i] + parts[i + 1:]
-            ctx = NPar(Hole(), par_all(rest))
-            for sub, q in decompositions(c):
-                out.append((_wrap(ctx, sub), q))
+            rest = par_all(parts[:i] + parts[i + 1:])
+            _decompose(c, lambda ctx, rest=rest: wrap(NPar(ctx, rest)), out)
     elif isinstance(p, NDChoice):
         parts = sum_parts(p)
         for i, c in enumerate(parts):
-            rest = parts[:i] + parts[i + 1:]
-            ctx = NSum(Hole(), sum_all(rest))
-            for sub, q in decompositions(c):
-                out.append((_wrap(ctx, sub), q))
+            rest = sum_all(parts[:i] + parts[i + 1:])
+            _decompose(c, lambda ctx, rest=rest: wrap(NSum(ctx, rest)), out)
     elif isinstance(p, Restrict):
+        x = p.x
         for side, other in ((p.left, p.right), (p.right, p.left)):
-            ctx = NRes(p.x, Hole(), other)
-            for sub, q in decompositions(side):
-                out.append((_wrap(ctx, sub), q))
-    return out
+            _decompose(side, lambda ctx, o=other: wrap(NRes(x, ctx, o)), out)

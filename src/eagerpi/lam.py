@@ -9,7 +9,9 @@ of a sharing, but never under an abstraction, inside a bag, or under an
 intermediate substitution.
 
 Variables reuse the unique-id Name type; binders are freshened whenever a
-rule copies a term, so fetching never captures.
+rule copies a term, so fetching never captures. `BINDING` declares what
+each constructor binds, and free variables, renaming and freshening are
+derived from it.
 """
 
 from __future__ import annotations
@@ -108,169 +110,111 @@ def slot_at(slots: tuple, i: int):
 
 
 # ---------------------------------------------------------------------------
-# Variables
+# Binding structure
+
+# One row per constructor: the fields holding free variables, the field
+# holding the variables bound in the body (the first subterm field), and
+# the subterm fields. A field may hold several variables (a tuple or a
+# frozenset) or several subterms (a tuple, whose empty slots are None).
+BINDING = {
+    LinVar: (("var",), None, ()),
+    UnrVar: (("var",), None, ()),
+    SuccessT: ((), None, ()),
+    Fail: (("vars",), None, ()),
+    Abs: ((), "var", ("body",)),
+    App: ((), None, ("fn", "bag")),
+    Bag: ((), None, ("linear", "unr")),
+    Sharing: (("var",), "aliases", ("body",)),
+    InterSub: ((), "var", ("body", "bag")),
+    LinSub: ((), "vars", ("body", "items")),
+    UnrSub: ((), "var", ("body", "slots")),
+}
+
+
+def _entries(v):
+    """The entries of a field that holds several (a tuple or a frozenset),
+    else the field's one value."""
+    return v if isinstance(v, (tuple, frozenset)) else (v,)
+
+
+def _free(m, out: set, bound, unr: bool):
+    """Add the free variables of a term or bag to `out`; with `unr` false,
+    unrestricted occurrences x[i] do not count."""
+    names, binder, subs = BINDING[type(m)]
+    if unr or not isinstance(m, UnrVar):
+        for f in names:
+            out.update(v for v in _entries(getattr(m, f)) if v not in bound)
+    if binder:
+        inner = bound.union(_entries(getattr(m, binder)))
+        _free(getattr(m, subs[0]), out, inner, unr)
+        subs = subs[1:]
+    for f in subs:
+        for t in _entries(getattr(m, f)):
+            if t is not None:
+                _free(t, out, bound, unr)
+
 
 def free_vars(m) -> set:
     out = set()
-    _fv(m, out, frozenset())
+    _free(m, out, frozenset(), True)
     return out
-
-
-def _fv(m, out, bound):
-    match m:
-        case LinVar(v) | UnrVar(v, _):
-            if v not in bound:
-                out.add(v)
-        case SuccessT():
-            pass
-        case Fail(vs):
-            out.update(v for v in vs if v not in bound)
-        case Abs(v, b):
-            _fv(b, out, bound | {v})
-        case App(f, bg):
-            _fv(f, out, bound)
-            _fv_bag(bg, out, bound)
-        case Sharing(b, als, v):
-            _fv(b, out, bound | set(als))
-            if v not in bound:
-                out.add(v)
-        case InterSub(b, bg, v):
-            _fv(b, out, bound | {v})
-            _fv_bag(bg, out, bound)
-        case LinSub(b, items, vs):
-            _fv(b, out, bound | set(vs))
-            for it in items:
-                _fv(it, out, bound)
-        case UnrSub(b, slots, v):
-            _fv(b, out, bound | {v})
-            for s in slots:
-                if s is not None:
-                    _fv(s, out, bound)
-        case Bag():
-            _fv_bag(m, out, bound)
-        case _:
-            raise TypeError(f"not a term: {m!r}")
-
-
-def _fv_bag(bg, out, bound):
-    for it in bg.linear:
-        _fv(it, out, bound)
-    for s in bg.unr:
-        if s is not None:
-            _fv(s, out, bound)
 
 
 def llfv(m) -> frozenset:
     """Free variables with linear occurrences (unrestricted occurrences
     x[i] do not count)."""
     out = set()
-    _llfv(m, out, frozenset())
+    _free(m, out, frozenset(), False)
     return frozenset(out)
-
-
-def _llfv(m, out, bound):
-    match m:
-        case LinVar(v):
-            if v not in bound:
-                out.add(v)
-        case UnrVar(_, _) | SuccessT():
-            pass
-        case Fail(vs):
-            out.update(v for v in vs if v not in bound)
-        case Abs(v, b):
-            _llfv(b, out, bound | {v})
-        case App(f, bg):
-            _llfv(f, out, bound)
-            _llfv_bag(bg, out, bound)
-        case Sharing(b, als, v):
-            _llfv(b, out, bound | set(als))
-            if v not in bound:
-                out.add(v)
-        case InterSub(b, bg, v):
-            _llfv(b, out, bound | {v})
-            _llfv_bag(bg, out, bound)
-        case LinSub(b, items, vs):
-            _llfv(b, out, bound | set(vs))
-            for it in items:
-                _llfv(it, out, bound)
-        case UnrSub(b, slots, v):
-            _llfv(b, out, bound | {v})
-            for s in slots:
-                if s is not None:
-                    _llfv(s, out, bound)
-        case Bag():
-            _llfv_bag(m, out, bound)
-        case _:
-            raise TypeError(f"not a term: {m!r}")
 
 
 def llfv_bag(bg) -> frozenset:
-    out = set()
-    _llfv_bag(bg, out, frozenset())
-    return frozenset(out)
-
-
-def _llfv_bag(bg, out, bound):
-    for it in bg.linear:
-        _llfv(it, out, bound)
-    for s in bg.unr:
-        if s is not None:
-            _llfv(s, out, bound)
+    return llfv(bg)
 
 
 def llfv_items(items) -> frozenset:
     out = set()
     for it in items:
-        _llfv(it, out, frozenset())
+        _free(it, out, frozenset(), False)
     return frozenset(out)
+
+
+def _rename(m, env: dict, fresh=None):
+    """m with every free variable v in `env` replaced by env[v], all at
+    once. With `fresh`, every binder b is also renamed to fresh(b): a
+    node's binders first, then its body, then its other subterms."""
+    if fresh is None and not env:
+        return m
+    cls = type(m)
+    names, binder, subs = BINDING[cls]
+    values = {}
+    inner = env
+    if binder is not None:
+        b = getattr(m, binder)
+        if fresh is not None:
+            new = tuple(fresh(v) for v in _entries(b))
+            values[binder] = new if isinstance(b, tuple) else new[0]
+            inner = {**env, **dict(zip(_entries(b), new))}
+        else:
+            inner = {v: w for v, w in env.items() if v not in _entries(b)}
+    for f in names:
+        v = getattr(m, f)
+        values[f] = (type(v)(env.get(n, n) for n in v)
+                     if isinstance(v, (tuple, frozenset)) else env.get(v, v))
+    for i, f in enumerate(subs):
+        v, e = getattr(m, f), (env if i else inner)
+        values[f] = (tuple(None if t is None else _rename(t, e, fresh)
+                           for t in v)
+                     if isinstance(v, tuple) else _rename(v, e, fresh))
+    return cls(*(values.get(f, getattr(m, f))
+                 for f in cls.__dataclass_fields__))
 
 
 def freshen_term(m, supply: Optional[NameSupply] = None):
     """Rename every binder (abstraction parameters, aliases, substitution
     variables) to fresh names; used when an unrestricted fetch copies."""
     fresh = supply.variant if supply else (lambda n: fresh_name(n.display))
-
-    def vn(v, env):
-        return env.get(v, v)
-
-    def go(m, env):
-        match m:
-            case LinVar(v):
-                return LinVar(vn(v, env))
-            case UnrVar(v, i):
-                return UnrVar(vn(v, env), i)
-            case SuccessT():
-                return m
-            case Fail(vs):
-                return Fail(frozenset(vn(v, env) for v in vs))
-            case Abs(v, b):
-                v2 = fresh(v)
-                return Abs(v2, go(b, {**env, v: v2}))
-            case App(f, bg):
-                return App(go(f, env), gobag(bg, env))
-            case Sharing(b, als, v):
-                als2 = tuple(fresh(a) for a in als)
-                env2 = {**env, **dict(zip(als, als2))}
-                return Sharing(go(b, env2), als2, vn(v, env))
-            case InterSub(b, bg, v):
-                v2 = fresh(v)
-                return InterSub(go(b, {**env, v: v2}), gobag(bg, env), v2)
-            case LinSub(b, items, vs):
-                vs2 = tuple(fresh(v) for v in vs)
-                env2 = {**env, **dict(zip(vs, vs2))}
-                return LinSub(go(b, env2), tuple(go(i, env) for i in items), vs2)
-            case UnrSub(b, slots, v):
-                v2 = fresh(v)
-                return UnrSub(go(b, {**env, v: v2}),
-                              tuple(None if s is None else go(s, env) for s in slots),
-                              v2)
-        raise TypeError(f"not a term: {m!r}")
-
-    def gobag(bg, env):
-        return Bag(tuple(go(i, env) for i in bg.linear),
-                   tuple(None if s is None else go(s, env) for s in bg.unr))
-
-    return go(m, {})
+    return _rename(m, {}, fresh)
 
 
 def rename_var(m, new: Name, old: Name):
@@ -279,44 +223,12 @@ def rename_var(m, new: Name, old: Name):
     set; shadowing binders stop the renaming."""
     if new == old:
         return m
-    match m:
-        case LinVar(v):
-            return LinVar(new) if v == old else m
-        case UnrVar(v, i):
-            return UnrVar(new, i) if v == old else m
-        case SuccessT():
-            return m
-        case Fail(vs):
-            if old in vs:
-                return Fail((vs - {old}) | {new})
-            return m
-        case Abs(v, b):
-            if v == old:
-                return m
-            return Abs(v, rename_var(b, new, old))
-        case App(f, bg):
-            return App(rename_var(f, new, old), _rename_bag(bg, new, old))
-        case Sharing(b, als, v):
-            v2 = new if v == old else v
-            b2 = b if old in als else rename_var(b, new, old)
-            return Sharing(b2, als, v2)
-        case InterSub(b, bg, v):
-            b2 = b if v == old else rename_var(b, new, old)
-            return InterSub(b2, _rename_bag(bg, new, old), v)
-        case LinSub(b, items, vs):
-            b2 = b if old in vs else rename_var(b, new, old)
-            return LinSub(b2, tuple(rename_var(i, new, old) for i in items), vs)
-        case UnrSub(b, slots, v):
-            b2 = b if v == old else rename_var(b, new, old)
-            return UnrSub(b2, tuple(None if s is None else rename_var(s, new, old)
-                                    for s in slots), v)
-    raise TypeError(f"not a term: {m!r}")
+    return _rename(m, {old: new})
 
 
-def _rename_bag(bg, new, old):
-    return Bag(tuple(rename_var(i, new, old) for i in bg.linear),
-               tuple(None if s is None else rename_var(s, new, old)
-                     for s in bg.unr))
+def rename_vars(m, mapping: dict):
+    """Simultaneous `rename_var` of mapping[v] for each free variable v."""
+    return _rename(m, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -602,9 +602,8 @@ class LcParser:
     def _inline(self, name, scope):
         term, freemap = self.defs[name]
         fresh = L.freshen_term(term, self.supply)
-        for text, old in freemap.items():
-            fresh = L.rename_var(fresh, scope.resolve(text), old)
-        return fresh
+        return L.rename_vars(fresh, {old: scope.resolve(text)
+                                     for text, old in freemap.items()})
 
     def _bag(self, scope) -> L.Bag:
         self.cur.take("<")

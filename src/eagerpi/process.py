@@ -5,6 +5,14 @@ parallel, restriction-over-parallel (connect), non-deterministic choice,
 output, input, select, branch, close, wait, client request, server,
 availability (some/none), expectation, and the inert success constant OK.
 
+`BINDING` is the one place binding structure lives: for each constructor,
+the fields holding free names, the field holding the name it binds in its
+subprocesses, and the fields holding those subprocesses. Free names, the
+linear/unrestricted split, child access, substitution, simultaneous
+renaming and binder freshening are all derived from it. Only the key walks
+`_walk` and `term_key` spell out every constructor, because they fix the
+key format.
+
 Structural identity of processes is alpha-invariant: `term_key` serializes
 a process with de Bruijn levels for bound names and display strings for
 free names, and every set-like operation (canonical sorting, reduct
@@ -23,7 +31,7 @@ canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from .names import Name, NameSupply, fresh_name
@@ -191,6 +199,90 @@ def sum_parts(p: Process) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Binding structure
+
+# One row per constructor: the fields holding free names, the field holding
+# the name bound in every subprocess, and the fields holding subprocesses.
+# A field declared `tuple` holds several entries: Expect's `deps` is a tuple
+# of names, and Branch's subprocesses are the second components of the
+# (label, process) pairs in `branches`.
+BINDING = {
+    Inaction: ((), None, ()),
+    Success: ((), None, ()),
+    Forward: (("x", "y"), None, ()),
+    Par: ((), None, ("left", "right")),
+    NDChoice: ((), None, ("left", "right")),
+    Restrict: ((), "x", ("left", "right")),
+    Output: (("x",), "y", ("payload", "cont")),
+    Input: (("x",), "y", ("cont",)),
+    Client: (("x",), "y", ("cont",)),
+    Server: (("x",), "y", ("cont",)),
+    Select: (("x",), None, ("cont",)),
+    Branch: (("x",), None, ("branches",)),
+    Close: (("x",), None, ()),
+    Wait: (("x",), None, ("cont",)),
+    SomeAvail: (("x",), None, ("cont",)),
+    NoneAvail: (("x",), None, ()),
+    Expect: (("x", "deps"), None, ("cont",)),
+}
+
+
+def _reader(cls, fields, entry):
+    """A function from a `cls` node to the values of `fields`, as one
+    tuple; a field declared `tuple` contributes `entry` of each of its
+    entries."""
+    several = {f for f in fields
+               if cls.__dataclass_fields__[f].type in ("tuple", tuple)}
+    if several:
+        def read(p):
+            out = []
+            for f in fields:
+                v = getattr(p, f)
+                if f in several:
+                    out.extend(map(entry, v))
+                else:
+                    out.append(v)
+            return tuple(out)
+        return read
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda p: (get(p),)
+    return lambda p: ()
+
+
+# node -> its own free-name occurrences / its immediate subprocesses
+_NAMES = {cls: _reader(cls, names, lambda n: n)
+          for cls, (names, _, _) in BINDING.items()}
+_SUBS = {cls: _reader(cls, subs, itemgetter(1))
+         for cls, (_, _, subs) in BINDING.items()}
+
+
+def _children(p: Process) -> tuple:
+    """The immediate subprocesses of p, in a fixed order."""
+    return _SUBS[type(p)](p)
+
+
+def _with_children(p: Process, kids, changed: Optional[dict] = None):
+    """A node like p with the subprocesses `kids` (as ordered by
+    `_children`) and the other fields in `changed` replaced."""
+    cls = type(p)
+    subs = BINDING[cls][2]
+    kids = iter(kids)
+    args = []
+    for f in cls.__dataclass_fields__:
+        v = getattr(p, f)
+        if f in subs:
+            v = (tuple((lab, next(kids)) for lab, _ in v)
+                 if isinstance(v, tuple) else next(kids))
+        elif changed:
+            v = changed.get(f, v)
+        args.append(v)
+    return cls(*args)
+
+
+# ---------------------------------------------------------------------------
 # Free names
 
 _NO_NAMES = frozenset()
@@ -201,29 +293,12 @@ def free_names(p: Process) -> frozenset:
     fn = p._fn
     if fn is not None:
         return fn
-    match p:
-        case Inaction() | Success():
-            fn = _NO_NAMES
-        case Forward(x, y):
-            fn = frozenset((x, y))
-        case Par(l, r) | NDChoice(l, r):
-            fn = free_names(l) | free_names(r)
-        case Restrict(x, l, r):
-            fn = (free_names(l) | free_names(r)) - {x}
-        case Output(x, y, pl, c):
-            fn = (free_names(pl) | free_names(c)) - {y} | {x}
-        case Input(x, y, c) | Client(x, y, c) | Server(x, y, c):
-            fn = free_names(c) - {y} | {x}
-        case Select(x, _, c) | Wait(x, c) | SomeAvail(x, c):
-            fn = free_names(c) | {x}
-        case Branch(x, brs):
-            fn = frozenset({x}).union(*(free_names(q) for _, q in brs))
-        case Close(x) | NoneAvail(x):
-            fn = frozenset((x,))
-        case Expect(x, deps, c):
-            fn = free_names(c).union(deps, (x,))
-        case _:
-            raise TypeError(f"not a process: {p!r}")
+    cls = type(p)
+    fn = _NO_NAMES.union(*map(free_names, _SUBS[cls](p)))
+    binder = BINDING[cls][1]
+    if binder is not None:
+        fn = fn - {getattr(p, binder)}
+    fn = fn.union(_NAMES[cls](p))
     p._fn = fn
     return fn
 
@@ -236,187 +311,77 @@ def free_name_split(p: Process):
     """
     linear: set = set()
     persistent: set = set()
-    _fn_split(p, linear, persistent, frozenset())
+
+    def walk(q, bound):
+        cls = type(q)
+        bucket = persistent if cls in (Client, Server) else linear
+        bucket.update(n for n in _NAMES[cls](q) if n not in bound)
+        binder = BINDING[cls][1]
+        if binder is not None:
+            bound = bound | {getattr(q, binder)}
+        for k in _SUBS[cls](q):
+            walk(k, bound)
+
+    walk(p, _NO_NAMES)
     return linear | persistent, linear, persistent - linear
 
 
-def _mark(n, bound, bucket):
-    if n not in bound:
-        bucket.add(n)
-
-
-def _fn_split(p, lin, per, bound):
-    match p:
-        case Inaction() | Success():
-            pass
-        case Forward(x, y):
-            _mark(x, bound, lin)
-            _mark(y, bound, lin)
-        case Par(l, r) | NDChoice(l, r):
-            _fn_split(l, lin, per, bound)
-            _fn_split(r, lin, per, bound)
-        case Restrict(x, l, r):
-            b = bound | {x}
-            _fn_split(l, lin, per, b)
-            _fn_split(r, lin, per, b)
-        case Output(x, y, pl, c):
-            _mark(x, bound, lin)
-            b = bound | {y}
-            _fn_split(pl, lin, per, b)
-            _fn_split(c, lin, per, b)
-        case Input(x, y, c):
-            _mark(x, bound, lin)
-            _fn_split(c, lin, per, bound | {y})
-        case Client(x, y, c) | Server(x, y, c):
-            _mark(x, bound, per)
-            _fn_split(c, lin, per, bound | {y})
-        case Select(x, _, c) | Wait(x, c) | SomeAvail(x, c):
-            _mark(x, bound, lin)
-            _fn_split(c, lin, per, bound)
-        case Branch(x, brs):
-            _mark(x, bound, lin)
-            for _, q in brs:
-                _fn_split(q, lin, per, bound)
-        case Close(x) | NoneAvail(x):
-            _mark(x, bound, lin)
-        case Expect(x, deps, c):
-            _mark(x, bound, lin)
-            for n in deps:
-                _mark(n, bound, lin)
-            _fn_split(c, lin, per, bound)
-
-
 # ---------------------------------------------------------------------------
-# Substitution and binder freshening
+# Renaming: substitution and binder freshening
+
+def _rename(p: Process, env: dict, fresh=None) -> Process:
+    """p with every free name n in `env` replaced by env[n], all at once.
+    With `fresh`, every binder b is also renamed to fresh(b), a binder
+    before its subprocesses and those in order. Subtrees in which no name
+    changes are shared."""
+    if fresh is None and env.keys().isdisjoint(free_names(p)):
+        return p
+    cls = type(p)
+    names, binder, _ = BINDING[cls]
+    changed = {}
+    inner = env
+    if binder is not None:
+        b = getattr(p, binder)
+        if fresh is not None:
+            changed[binder] = fresh(b)
+            inner = {**env, b: changed[binder]}
+        elif b in env:
+            inner = {n: m for n, m in env.items() if n != b}
+    for f in names:
+        v = getattr(p, f)
+        new = (tuple(env.get(n, n) for n in v) if isinstance(v, tuple)
+               else env.get(v, v))
+        if new != v:
+            changed[f] = new
+    kids = _SUBS[cls](p)
+    new_kids = tuple(_rename(q, inner, fresh) for q in kids)
+    if not changed and all(a is b for a, b in zip(kids, new_kids)):
+        return p
+    return _with_children(p, new_kids, changed)
+
 
 def substitute(p: Process, new: Name, old: Name) -> Process:
-    """Capture-avoiding substitution of `new` for free occurrences of `old`.
+    """Capture-avoiding substitution of `new` for free occurrences of `old`;
+    p itself when `old` is not free in it.
 
     Binder ids are globally unique, so capture cannot arise; shadowing is
     still respected defensively.
     """
     if new == old:
         return p
-    return _subst(p, new, old)
-
-
-def _sn(n, new, old):
-    return new if n == old else n
-
-
-def _subst(p, new, old):
-    match p:
-        case Inaction() | Success():
-            return p
-        case Forward(x, y):
-            return Forward(_sn(x, new, old), _sn(y, new, old))
-        case Par(l, r):
-            return Par(_subst(l, new, old), _subst(r, new, old))
-        case NDChoice(l, r):
-            return NDChoice(_subst(l, new, old), _subst(r, new, old))
-        case Restrict(x, l, r):
-            if x == old:
-                return p
-            return Restrict(x, _subst(l, new, old), _subst(r, new, old))
-        case Output(x, y, pl, c):
-            x2 = _sn(x, new, old)
-            if y == old:
-                return Output(x2, y, pl, c)
-            return Output(x2, y, _subst(pl, new, old), _subst(c, new, old))
-        case Input(x, y, c):
-            x2 = _sn(x, new, old)
-            if y == old:
-                return Input(x2, y, c)
-            return Input(x2, y, _subst(c, new, old))
-        case Client(x, y, c):
-            x2 = _sn(x, new, old)
-            if y == old:
-                return Client(x2, y, c)
-            return Client(x2, y, _subst(c, new, old))
-        case Server(x, y, c):
-            x2 = _sn(x, new, old)
-            if y == old:
-                return Server(x2, y, c)
-            return Server(x2, y, _subst(c, new, old))
-        case Select(x, lab, c):
-            return Select(_sn(x, new, old), lab, _subst(c, new, old))
-        case Branch(x, brs):
-            return Branch(_sn(x, new, old),
-                          tuple((k, _subst(q, new, old)) for k, q in brs))
-        case Close(x):
-            return Close(_sn(x, new, old))
-        case Wait(x, c):
-            return Wait(_sn(x, new, old), _subst(c, new, old))
-        case SomeAvail(x, c):
-            return SomeAvail(_sn(x, new, old), _subst(c, new, old))
-        case NoneAvail(x):
-            return NoneAvail(_sn(x, new, old))
-        case Expect(x, deps, c):
-            return Expect(_sn(x, new, old),
-                          tuple(_sn(n, new, old) for n in deps),
-                          _subst(c, new, old))
-    raise TypeError(f"not a process: {p!r}")
+    return _rename(p, {old: new})
 
 
 def rename_free(p: Process, mapping: dict) -> Process:
-    out = p
-    for old, new in mapping.items():
-        out = substitute(out, new, old)
-    return out
+    """Simultaneous substitution of mapping[n] for each free name n."""
+    return _rename(p, mapping)
 
 
 def freshen_binders(p: Process, supply: Optional[NameSupply] = None) -> Process:
     """Rename every binder in `p` to a fresh name (used when a rule copies
     a subprocess, e.g. server replication)."""
     fresh = supply.variant if supply else (lambda n: fresh_name(n.display))
-
-    def go(q, env):
-        match q:
-            case Inaction() | Success():
-                return q
-            case Forward(x, y):
-                return Forward(env.get(x, x), env.get(y, y))
-            case Par(l, r):
-                return Par(go(l, env), go(r, env))
-            case NDChoice(l, r):
-                return NDChoice(go(l, env), go(r, env))
-            case Restrict(x, l, r):
-                x2 = fresh(x)
-                env2 = {**env, x: x2}
-                return Restrict(x2, go(l, env2), go(r, env2))
-            case Output(x, y, pl, c):
-                y2 = fresh(y)
-                env2 = {**env, y: y2}
-                return Output(env.get(x, x), y2, go(pl, env2), go(c, env2))
-            case Input(x, y, c):
-                y2 = fresh(y)
-                return Input(env.get(x, x), y2, go(c, {**env, y: y2}))
-            case Client(x, y, c):
-                y2 = fresh(y)
-                return Client(env.get(x, x), y2, go(c, {**env, y: y2}))
-            case Server(x, y, c):
-                y2 = fresh(y)
-                return Server(env.get(x, x), y2, go(c, {**env, y: y2}))
-            case Select(x, lab, c):
-                return Select(env.get(x, x), lab, go(c, env))
-            case Branch(x, brs):
-                return Branch(env.get(x, x),
-                              tuple((k, go(b, env)) for k, b in brs))
-            case Close(x):
-                return Close(env.get(x, x))
-            case Wait(x, c):
-                return Wait(env.get(x, x), go(c, env))
-            case SomeAvail(x, c):
-                return SomeAvail(env.get(x, x), go(c, env))
-            case NoneAvail(x):
-                return NoneAvail(env.get(x, x))
-            case Expect(x, deps, c):
-                return Expect(env.get(x, x),
-                              tuple(env.get(n, n) for n in deps),
-                              go(c, env))
-        raise TypeError(f"not a process: {q!r}")
-
-    return go(p, {})
+    return _rename(p, {}, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -639,33 +604,6 @@ def is_inert(p: Process) -> bool:
 
 # ---------------------------------------------------------------------------
 # Scope normalization for state identity
-
-def _children(p: Process) -> tuple:
-    """The immediate subprocesses of p, in a fixed order."""
-    match p:
-        case Par(l, r) | NDChoice(l, r) | Restrict(_, l, r):
-            return (l, r)
-        case Output(_, _, pl, c):
-            return (pl, c)
-        case Input(_, _, c) | Client(_, _, c) | Server(_, _, c) \
-                | Select(_, _, c) | Wait(_, c) | SomeAvail(_, c) \
-                | Expect(_, _, c):
-            return (c,)
-        case Branch(_, brs):
-            return tuple(q for _, q in brs)
-    return ()
-
-
-def _with_children(p: Process, kids) -> Process:
-    """A node like p with the subprocesses `kids` (as ordered by
-    `_children`)."""
-    if isinstance(p, Branch):
-        labels = (k for k, _ in p.branches)
-        return Branch(p.x, tuple(zip(labels, kids)))
-    # every other node lists its subprocesses last among its fields
-    fields = [getattr(p, f) for f in p.__dataclass_fields__]
-    return type(p)(*fields[:len(fields) - len(kids)], *kids)
-
 
 def _map(p: Process, f) -> Process:
     """p with f applied to each immediate subprocess; p itself when f

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from eagerpi.lamtypes import ArrowT, Mult, UnitT, embraces
 from eagerpi.names import Name
-from eagerpi.process import (Close, Forward, Inaction, NDChoice, Par,
-                             Restrict, SomeAvail, Wait, canonicalize,
-                             freshen_binders, struct_congruent, term_key)
+from eagerpi.process import (Client, Close, Expect, Forward, Inaction, Input,
+                             NDChoice, NoneAvail, Output, Par, Restrict,
+                             Select, Server, SomeAvail, Success, Wait,
+                             canonicalize, freshen_binders, make_branch,
+                             struct_congruent, term_key)
 from eagerpi.sessiontypes import (Bang, Bot, ExpectT, Maybe, One, Parr, Plus,
                                   Query, Tensor, With, dual, plus, with_)
 
@@ -24,16 +26,31 @@ session_types = st.recursive(
         t.map(Query), t.map(Bang), t.map(Maybe), t.map(ExpectT)),
     max_leaves=12)
 
+labels = st.sampled_from(("a", "b", "c"))
+
+# every constructor; binders are drawn from the same few names as free
+# names, so binders shadow and capture-avoidance is exercised
 processes = st.recursive(
     st.one_of(st.just(Inaction()),
+              st.just(Success()),
               names.map(Close),
+              names.map(NoneAvail),
               st.tuples(names, names).map(lambda xy: Forward(*xy))),
     lambda p: st.one_of(
         st.tuples(p, p).map(lambda ab: Par(*ab)),
         st.tuples(p, p).map(lambda ab: NDChoice(*ab)),
         st.tuples(names, p).map(lambda xp: Wait(*xp)),
         st.tuples(names, p).map(lambda xp: SomeAvail(*xp)),
-        st.tuples(names, p, p).map(lambda xlr: Restrict(*xlr))),
+        st.tuples(names, p, p).map(lambda xlr: Restrict(*xlr)),
+        st.tuples(names, names, p, p).map(lambda a: Output(*a)),
+        st.tuples(names, names, p).map(lambda a: Input(*a)),
+        st.tuples(names, names, p).map(lambda a: Client(*a)),
+        st.tuples(names, names, p).map(lambda a: Server(*a)),
+        st.tuples(names, labels, p).map(lambda a: Select(*a)),
+        st.tuples(names, st.dictionaries(labels, p, min_size=1)).map(
+            lambda a: make_branch(a[0], a[1].items())),
+        st.tuples(names, st.lists(names, max_size=2).map(tuple), p).map(
+            lambda a: Expect(*a))),
     max_leaves=16)
 
 

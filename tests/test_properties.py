@@ -6,8 +6,9 @@ import itertools
 
 from eagerpi import lam as L
 from eagerpi.eager import step_all, trace
+from eagerpi.equivalence import explore
 from eagerpi.lamtypes import check_wf, check_wt
-from eagerpi.process import canonicalize, is_inert, scope_rewrites
+from eagerpi.process import canonicalize, free_names, is_inert, scope_rewrites
 from eagerpi.typecheck import typecheck
 
 
@@ -22,6 +23,17 @@ def closed_corpus(generated, movie, vm):
 
 def test_corpus_size(generated, movie, vm):
     assert len(closed_corpus(generated, movie, vm)) >= 100
+
+
+def test_free_names_have_distinct_displays(generated, movie, vm):
+    """`term_key` keys a free name by its display alone, so two distinct
+    free names of one state must never share a display."""
+    for prog in (movie, vm, generated):
+        for name, (p, *_) in prog.defs.items():
+            nodes, _, _ = explore(p, 4)
+            for q in [p] + [n.state for n in nodes.values()]:
+                fn = free_names(q)
+                assert len({n.display for n in fn}) == len(fn), (name, fn)
 
 
 def test_type_preservation_under_congruence(generated, movie, vm):
