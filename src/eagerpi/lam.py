@@ -12,6 +12,12 @@ Variables reuse the unique-id Name type; binders are freshened whenever a
 rule copies a term, so fetching never captures. `BINDING` declares what
 each constructor binds, and free variables, renaming and freshening are
 derived from it.
+
+State identity is `lam_key`: terms are keyed modulo alpha-renaming and
+modulo the order of linear bags and of binder tuples, since a linear bag
+is a multiset and each variable of a tuple may take any of its items.
+Terms are never mutated, so each term's key is computed once and cached
+on it; `step_all` keys each reduct once, at the top.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .names import Name, NameSupply, fresh_name
 
 class Term:
     __slots__ = ()
+    _key = None   # the key at the root (`lam_key`), set on first use
 
 
 @dataclass(eq=False)
@@ -232,52 +239,114 @@ def rename_vars(m, mapping: dict):
 
 
 # ---------------------------------------------------------------------------
-# Alpha-invariant keys
+# Keys: alpha-invariant, and invariant under bag and binder permutation
 
-def lam_key(m, env=None, depth=0):
-    if env is None:
-        env = {}
+def lam_key(m):
+    """The key of m, cached on the node: equal keys mean equal terms up to
+    alpha-renaming, the order of every linear bag (`Bag.linear`,
+    `LinSub.items`) and the order of every binder tuple (`LinSub.vars`,
+    `Sharing.aliases`). Unrestricted slots stay positional.
 
-    def nk(v):
-        lvl = env.get(v)
-        return ("b", lvl) if lvl is not None else ("f", v.display)
+    A bound variable is keyed by the level of its binder, so the variables
+    of one tuple share one token; the binder adds the pattern in which
+    they occur, each numbered by its first occurrence in the body. Linear
+    items are sorted by key, and the body is read in that sorted order,
+    so in a term where each tuple variable occurs at most once the
+    pattern is 0, 1, 2, ... whatever order the term was written in."""
+    k = m._key
+    if k is None:
+        k = m._key = _key(m, {}, 0, [])
+    return k
 
+
+def _var(v, env, log):
+    """The token of variable v; an occurrence of a tuple-bound variable
+    is logged as (token, v) for its binder's pattern."""
+    tok = env.get(v)
+    if tok is None:
+        return ("f", v.display)
+    if tok[0] == "t":
+        log.append((tok, v))
+    return tok
+
+
+def _key(m, env, depth, log):
     match m:
         case LinVar(v):
-            return ("lv", nk(v))
+            return ("lv", _var(v, env, log))
         case UnrVar(v, i):
-            return ("uv", nk(v), i)
+            return ("uv", _var(v, env, log), i)
         case SuccessT():
             return ("ok",)
         case Fail(vs):
-            return ("fail", tuple(sorted(nk(v) for v in vs)))
+            order = sorted(vs, key=lambda v: (env.get(v) or ("f", v.display),
+                                              v.id, v.display))
+            return ("fail", tuple(_var(v, env, log) for v in order))
         case Abs(v, b):
-            return ("abs", lam_key(b, {**env, v: (depth, 0)}, depth + 1))
+            return ("abs", _key(b, {**env, v: ("b", depth)}, depth + 1, log))
         case App(f, bg):
-            return ("app", lam_key(f, env, depth), _bag_key(bg, env, depth))
+            return ("app", _key(f, env, depth, log),
+                    _bag_key(bg, env, depth, log))
         case Sharing(b, als, v):
-            env2 = {**env, **{a: (depth, i) for i, a in enumerate(als)}}
-            return ("shar", nk(v), len(als), lam_key(b, env2, depth + 1))
+            sv = _var(v, env, log)
+            body, pattern = _tuple_scope(b, als, env, depth, log)
+            return ("shar", sv, len(als), body, pattern)
         case InterSub(b, bg, v):
-            return ("isub", lam_key(b, {**env, v: (depth, 0)}, depth + 1),
-                    _bag_key(bg, env, depth))
+            return ("isub", _key(b, {**env, v: ("b", depth)}, depth + 1, log),
+                    _bag_key(bg, env, depth, log))
         case LinSub(b, items, vs):
-            env2 = {**env, **{x: (depth, i) for i, x in enumerate(vs)}}
-            return ("lsub", len(vs), lam_key(b, env2, depth + 1),
-                    tuple(lam_key(i, env, depth) for i in items))
+            body, pattern = _tuple_scope(b, vs, env, depth, log)
+            return ("lsub", len(vs), body, pattern,
+                    _multiset_key(items, env, depth, log))
         case UnrSub(b, slots, v):
-            return ("usub", lam_key(b, {**env, v: (depth, 0)}, depth + 1),
-                    tuple("e" if s is None else lam_key(s, env, depth)
-                          for s in slots))
+            return ("usub", _key(b, {**env, v: ("b", depth)}, depth + 1, log),
+                    _slots_key(slots, env, depth, log))
     raise TypeError(f"not a term: {m!r}")
 
 
-def _bag_key(bg, env, depth):
-    return ("bag", tuple(lam_key(i, env, depth) for i in bg.linear),
-            tuple("e" if s is None else lam_key(s, env, depth) for s in bg.unr))
+def _tuple_scope(b, vs, env, depth, log):
+    """The key of body b under the binder tuple vs, and the pattern of
+    occurrences of vs in it; the occurrences leave the log."""
+    tok = ("t", depth)
+    start = len(log)
+    body = _key(b, {**env, **dict.fromkeys(vs, tok)}, depth + 1, log)
+    if len(log) == start:
+        return body, ()
+    logged, first = log[start:], {}
+    pattern = tuple(first.setdefault(v, len(first))
+                    for t, v in logged if t is tok)
+    log[start:] = [e for e in logged if e[0] is not tok]
+    return body, pattern
+
+
+def _multiset_key(items, env, depth, log):
+    """The item keys, sorted; the log is reordered to match."""
+    start = len(log)
+    marks, keys = [], []
+    for it in items:
+        marks.append(len(log))
+        keys.append(_key(it, env, depth, log))
+    if len(log) == start:
+        return tuple(sorted(keys))
+    marks.append(len(log))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    logged = log[:]   # marks index the whole log
+    log[start:] = [e for i in order for e in logged[marks[i]:marks[i + 1]]]
+    return tuple(keys[i] for i in order)
+
+
+def _slots_key(slots, env, depth, log):
+    return tuple(("e",) if s is None else _key(s, env, depth, log)
+                 for s in slots)
+
+
+def _bag_key(bg, env, depth, log):
+    return ("bag", _multiset_key(bg.linear, env, depth, log),
+            _slots_key(bg.unr, env, depth, log))
 
 
 def lam_alpha_equal(m, n) -> bool:
+    """Equal up to alpha-renaming and bag and binder permutation."""
     return lam_key(m) == lam_key(n)
 
 
@@ -392,47 +461,46 @@ def _local_steps(m):
     return out
 
 
+def _reducts(m) -> list:
+    """All one-step reducts (rule tag, term), closed under the evaluation
+    contexts, repeats included."""
+    out = _local_steps(m)
+    match m:
+        case App(f, bg):
+            out += [(tag, App(t, bg)) for tag, t in _reducts(f)]
+        case LinSub(b, items, vs):
+            out += [(tag, LinSub(t, items, vs)) for tag, t in _reducts(b)]
+        case UnrSub(b, slots, v):
+            out += [(tag, UnrSub(t, slots, v)) for tag, t in _reducts(b)]
+        case Sharing(b, als, v):
+            out += [(tag, Sharing(t, als, v)) for tag, t in _reducts(b)]
+    return out
+
+
 def step_all(m) -> list:
     """All one-step reducts (rule tag, term), closed under the evaluation
-    contexts, deduplicated up to alpha."""
+    contexts, deduplicated by rule and key; the first of equal reducts is
+    kept. Each reduct is keyed once, here: wrapping in a fixed context is
+    injective on keys, so no context needs to deduplicate."""
     out = []
     seen = set()
-
-    def emit(tag, t):
+    for tag, t in _reducts(m):
         key = (tag.split(":")[0], lam_key(t))
         if key not in seen:
             seen.add(key)
             out.append((tag, t))
-
-    for tag, t in _local_steps(m):
-        emit(tag, t)
-    match m:
-        case App(f, bg):
-            for tag, t in step_all(f):
-                emit(tag, App(t, bg))
-        case LinSub(b, items, vs):
-            for tag, t in step_all(b):
-                emit(tag, LinSub(t, items, vs))
-        case UnrSub(b, slots, v):
-            for tag, t in step_all(b):
-                emit(tag, UnrSub(t, slots, v))
-        case Sharing(b, als, v):
-            for tag, t in step_all(b):
-                emit(tag, Sharing(t, als, v))
-        case _:
-            pass
     return out
 
 
 def reduction_graph(m, bound: int, max_states: int = 20000, goal=None):
-    """The reduction graph of m within `bound` steps, keyed by alpha class
+    """The reduction graph of m within `bound` steps, keyed by `lam_key`
     (see `graph.explore`)."""
     return graph.explore(m, step_all, lam_key, bound, max_states, goal)
 
 
 def reachable(m, bound: int, max_states: int = 20000):
-    """Terms reachable within `bound` steps, keyed by alpha class; returns
-    (list of terms, truncated flag)."""
+    """Terms reachable within `bound` steps, one per `lam_key` class;
+    returns (list of terms, truncated flag)."""
     nodes, _, cause, _ = reduction_graph(m, bound, max_states)
     return [n.state for n in nodes.values()], cause != "none"
 

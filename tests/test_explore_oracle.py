@@ -72,8 +72,8 @@ def shared_steps(monkeypatch):
     takes its steps from the same `eager.step_all`, whose result depends
     only on the state's canonical form, so sharing it by state key leaves
     both sides' inputs equal and saves five of every six calls. (Not so
-    `lam.step_all`: it recurses through its own module name on subterms,
-    whose keys do not determine their steps.)"""
+    `lam.step_all`: key-equal terms can list their reducts in another
+    order, with other fetch indices.)"""
     real, cache = eager.step_all, {}
 
     def step_all(p):
