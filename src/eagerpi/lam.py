@@ -252,7 +252,13 @@ def lam_key(m):
     they occur, each numbered by its first occurrence in the body. Linear
     items are sorted by key, and the body is read in that sorted order,
     so in a term where each tuple variable occurs at most once the
-    pattern is 0, 1, 2, ... whatever order the term was written in."""
+    pattern is 0, 1, 2, ... whatever order the term was written in.
+
+    Where a tuple variable occurs more than once (the parser accepts
+    such aliases) and one occurrence is in a `Fail` set, the variables
+    of that set are read in the order of their ids, which alpha-renaming
+    may change: such terms may get different keys for one class, so the
+    graph only keeps more states than it needs, never fewer."""
     k = m._key
     if k is None:
         k = m._key = _key(m, {}, 0, [])
@@ -348,6 +354,46 @@ def _bag_key(bg, env, depth, log):
 def lam_alpha_equal(m, n) -> bool:
     """Equal up to alpha-renaming and bag and binder permutation."""
     return lam_key(m) == lam_key(n)
+
+
+# the fields holding the items of a linear bag
+_LINEAR_ITEMS = {(Bag, "linear"), (LinSub, "items")}
+
+
+def key_ordered(m):
+    """m with the items of every linear bag (`Bag.linear`, `LinSub.items`)
+    in the order of their keys in context, ties kept as written. Terms
+    with equal `lam_key` then differ only in alpha-renaming, in the order
+    of binder tuples, and in the order of items that tie, which differ at
+    most in which variable of one tuple they use: the translation sums
+    over every assignment to a tuple, so it tells none of these apart up
+    to canonical forms. Unchanged subterms are returned as they are."""
+    return _ordered(m, {}, 0)
+
+
+def _ordered(m, env, depth):
+    cls = type(m)
+    _, binder, subs = BINDING[cls]
+    changed = {}
+    for i, f in enumerate(subs):
+        e, d = env, depth
+        if binder is not None and i == 0:
+            bound = getattr(m, binder)
+            tok = ("t", depth) if isinstance(bound, tuple) else ("b", depth)
+            e, d = {**env, **dict.fromkeys(_entries(bound), tok)}, depth + 1
+        old = getattr(m, f)
+        if isinstance(old, tuple):
+            new = tuple(None if t is None else _ordered(t, e, d) for t in old)
+            if (cls, f) in _LINEAR_ITEMS:
+                new = tuple(sorted(new, key=lambda t: _key(t, e, d, [])))
+            if any(t is not u for t, u in zip(new, old)):
+                changed[f] = new
+        elif (new := _ordered(old, e, d)) is not old:
+            changed[f] = new
+    if not changed:
+        return m
+    return cls(*(changed.get(f, getattr(m, f))
+                 for f in cls.__dataclass_fields__))
 
 
 # ---------------------------------------------------------------------------

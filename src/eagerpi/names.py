@@ -8,36 +8,13 @@ string is a hint for printing only; identity is the id.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 
+@dataclass(frozen=True)
 class Name:
-    """An immutable name; equality and hash are on (id, display), and the
-    hash, needed at every dict and set lookup, is computed once."""
-
-    __slots__ = ("id", "display", "_hash")
-    __match_args__ = ("id", "display")
-
-    def __init__(self, id: int, display: str = "x"):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "display", display)
-        object.__setattr__(self, "_hash", hash((id, display)))
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"Name is immutable: cannot set {attr}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"Name is immutable: cannot delete {attr}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Name:
-            return NotImplemented
-        return self.id == other.id and self.display == other.display
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Name, (self.id, self.display)
+    id: int
+    display: str = "x"
 
     def __repr__(self):
         return f"{self.display}#{self.id}"

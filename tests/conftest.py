@@ -25,6 +25,15 @@ def load_lc(name):
         return parse_lc(fh.read())
 
 
+def perfbench_workloads():
+    """The benchmark's workload module (`perfbench/workloads.py`)."""
+    perfbench = os.path.join(HERE, "..", "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+    return workloads
+
+
 @pytest.fixture(scope="session")
 def movie():
     return load_spi("movie.spi")

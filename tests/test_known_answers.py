@@ -7,24 +7,14 @@ runs all of them, so a change to state identity (`lam_key`, `term_key`)
 or to exploration that drifts any verdict fails tier-1.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    import workloads
-    return workloads
+from tests.conftest import perfbench_workloads
 
 
 @pytest.mark.parametrize("name", ["lambda", "correspond"])
-def test_every_verdict_matches_known_answers(workloads, name):
+def test_every_verdict_matches_known_answers(name):
+    workloads = perfbench_workloads()
     known = workloads.load_known_answers()
     checks = workloads.build(name, 1).checks
     assert checks

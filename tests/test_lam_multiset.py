@@ -2,19 +2,26 @@
 
 A linear bag is a multiset, and each variable of a binder tuple may take
 any item, so permuting any `Bag.linear`, `LinSub.items`, `LinSub.vars` or
-`Sharing.aliases` must leave the root key, the key set of `reachable` and
-the verdict of `succeeds` unchanged.
+`Sharing.aliases` must leave the key set of `reachable` and the verdict
+of `succeeds` unchanged. (That it leaves the root key unchanged is
+checked on every reachable term in `test_lam_key_oracle.py`.)
 """
 
 import dataclasses
 import random
-import sys
 from itertools import permutations
-from pathlib import Path
 
+import pytest
+
+from eagerpi import equivalence, graph
 from eagerpi import lam as L
+from eagerpi.equivalence import (_translate_fresh, check_loose_completeness,
+                                 check_loose_soundness,
+                                 check_success_sensitivity)
 from eagerpi.parser import parse_lc
-from tests.conftest import load_lc
+from eagerpi.process import term_key
+from tests import reference_lam as ref
+from tests.conftest import load_lc, perfbench_workloads
 
 BOUND = 64
 
@@ -50,11 +57,7 @@ def orders(seed):
 
 
 def lambda_family():
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    if perfbench not in sys.path:
-        sys.path.insert(0, perfbench)
-    import workloads
-    return parse_lc(workloads.lambda_script()).defs
+    return parse_lc(perfbench_workloads().lambda_script()).defs
 
 
 def terms():
@@ -89,7 +92,6 @@ def test_permuting_bags_and_binders_changes_nothing():
         verdict = L.succeeds(m, BOUND)
         for order in orders(name):
             m2 = permuted(m, order)
-            assert L.lam_key(m2) == L.lam_key(m), name
             assert reachable_keys(m2) == keys, name
             assert L.succeeds(m2, BOUND) == verdict, name
 
@@ -103,3 +105,56 @@ def test_key_keeps_which_tuple_variables_coincide():
                     "def C = \\x. x2 <x1> [x1,x2 <- x]\n").defs
     a, b, c = (L.lam_key(defs[n][0]) for n in "ABC")
     assert a != b and b == c
+
+
+# The correspondence checks translate the one term of each class that the
+# lambda graph keeps, so key-equal terms must translate alike. In X the
+# graph keeps one of two substitutions whose items are `y <I, fail{}>` and
+# `y <fail{}, I>`; with bags translated in the order written, the process
+# states that took the other one matched no kept term and soundness
+# failed in 86 of 192 states. In F it keeps one of the orders in which
+# fetching either `I` leaves the other two items.
+MERGING = parse_lc("def I = \\x. x1 [x1 <- x]\n"
+                   "def X = (\\x. x1 [x1,x2 <- x]) "
+                   "<y <I, fail{}>, y <fail{}, I>>\n"
+                   "def F = (\\x. x1 [x1,x2,x3 <- x]) <I, fail{}, I>\n").defs
+
+
+def sequence_reachable(m, bound, max_states=20000):
+    """`lam.reachable` under the sequence key, which merges no orders."""
+    nodes, _, cause, _ = graph.explore(m, ref.step_all, ref.lam_key, bound,
+                                       max_states)
+    return [n.state for n in nodes.values()], cause != "none"
+
+
+@pytest.mark.parametrize("name,bound", [("X", 60), ("F", 80)])
+def test_correspondence_does_not_depend_on_the_order_kept(name, bound,
+                                                          monkeypatch):
+    m = MERGING[name][0]
+    assert len(L.reachable(m, bound)[0]) < \
+        len(sequence_reachable(m, bound)[0])
+
+    def reports():
+        equivalence._correspondence.cache_clear()
+        return [check(m, bound) for check in (
+            check_loose_completeness, check_loose_soundness,
+            check_success_sensitivity)]
+
+    merged = reports()
+    monkeypatch.setattr(L, "reachable", sequence_reachable)
+    monkeypatch.setattr(L, "step_all", ref.step_all)
+    assert reports() == merged
+    assert merged[1]["ok"] and not merged[1]["exhausted"]
+    equivalence._correspondence.cache_clear()
+
+
+def test_permuting_bags_and_binders_keeps_the_translation():
+    # the larger family terms translate too deep for the default
+    # recursion limit
+    small = [(n, m) for n, m in terms() if not n.startswith("family/")
+             or n[8:].split("_")[0] in ("3", "4")]
+    for name, m in small + [(n, d[0]) for n, d in MERGING.items()]:
+        key = term_key(_translate_fresh(m))
+        for order in orders(name):
+            assert term_key(_translate_fresh(permuted(m, order))) == key, \
+                name
