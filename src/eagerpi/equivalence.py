@@ -363,24 +363,33 @@ def _reach_closure(nodes, seeds):
 
 @lru_cache(maxsize=1)
 def _correspondence(m, bound: int, max_states: int):
-    """(nodes, truncated) of the eager graph of m's translation and
-    (terms, truncated) of m's reduction graph, which the checks below
-    share, and must not change. They run back to back on one (term,
-    bound, cap); terms hash by identity and the one entry keeps its term
-    alive, so no new term matches it."""
-    nodes, _, truncated = explore(_translate_fresh(m), bound, max_states)
+    """(nodes, truncated) of the eager graph of m's translation,
+    (terms, truncated) of m's reduction graph, and `_translate_fresh`
+    shared by `lam_key` (the terms of one run share their free variables),
+    which the checks below share, and must not change. They run back to
+    back on one (term, bound, cap); terms hash by identity and the one
+    entry keeps its term alive, so no new term matches it."""
+    translations = {}
+
+    def translate(t):
+        key = L.lam_key(t)
+        if key not in translations:
+            translations[key] = _translate_fresh(t)
+        return translations[key]
+
+    nodes, _, truncated = explore(translate(m), bound, max_states)
     lam_terms, lam_trunc = L.reachable(m, bound, max_states)
-    return nodes, truncated, lam_terms, lam_trunc
+    return nodes, truncated, lam_terms, lam_trunc, translate
 
 
 def check_loose_completeness(m, bound: int = 30, max_states: int = 6000):
     """For every reduction of the source term, search the eager graph of
     its translation for a process below the reduct's translation in the
     branch-count precongruence."""
-    nodes, truncated, _, _ = _correspondence(m, bound, max_states)
+    nodes, truncated, _, _, translate = _correspondence(m, bound, max_states)
     report = {"reducts": [], "ok": True, "exhausted": False}
     for tag, m2 in L.step_all(m):
-        target = _translate_fresh(m2)
+        target = translate(m2)
         found = any(nd_precongruence(target, node.state)
                     for node in nodes.values())
         entry = {"rule": tag, "found": found,
@@ -395,9 +404,9 @@ def check_loose_soundness(m, bound: int = 30, max_states: int = 6000):
     """For every reachable process of the translation, find a source
     reduct and a continuation of the process below that reduct's
     translation."""
-    nodes, truncated, lam_terms, lam_trunc = \
+    nodes, truncated, lam_terms, lam_trunc, translate = \
         _correspondence(m, bound, max_states)
-    targets = [_translate_fresh(t) for t in lam_terms]
+    targets = [translate(t) for t in lam_terms]
     reach_good = _reach_closure(nodes, {
         k for k, n in nodes.items()
         if any(nd_precongruence(t, n.state) for t in targets)})
@@ -419,7 +428,7 @@ def check_success_sensitivity(m, bound: int = 30, max_states: int = 6000):
     side that found none in a cut graph is undecided, and so is the check.
     The graphs hold any success that `lam.succeeds` and `succeeds_pi`
     find, since those discover states in the same order."""
-    nodes, truncated, lam_terms, lam_trunc = \
+    nodes, truncated, lam_terms, lam_trunc, _ = \
         _correspondence(m, bound, max_states)
     lam_s = any(isinstance(L.head(t), L.SuccessT) for t in lam_terms)
     pi_s = any(has_unguarded_success(n.state) for n in nodes.values())

@@ -414,11 +414,13 @@ def head(m):
         case LinSub(b, _, _) | UnrSub(b, _, _):
             return head(b)
         case Sharing(b, als, v):
-            h = head(b)
-            if isinstance(h, LinVar) and h.var in als:
-                return LinVar(v)
-            return h
+            return _shared_head(head(b), als, v)
     raise TypeError(f"not a term: {m!r}")
+
+
+def _shared_head(h, als, v):
+    """The head of a sharing of `als` as v over a body whose head is h."""
+    return LinVar(v) if isinstance(h, LinVar) and h.var in als else h
 
 
 class HeadMismatch(Exception):
@@ -451,7 +453,8 @@ def head_substitute(m, repl, occ):
 # ---------------------------------------------------------------------------
 # Reduction
 
-def _local_steps(m):
+def _local_steps(m, h=None):
+    """One-step reducts of m at its root; `h` is head(m) if known."""
     out = []
     match m:
         case App(Abs(_, _) as f, bg):
@@ -479,7 +482,7 @@ def _local_steps(m):
                     newset = (b.vars - set(vs)) | llfv_items(items)
                     out.append(("cons3", Fail(frozenset(newset))))
             else:
-                h = head(b)
+                h = head(b) if h is None else h
                 if isinstance(h, LinVar) and h.var in vs:
                     j = vs.index(h.var)
                     rest_vars = vs[:j] + vs[j + 1:]
@@ -492,7 +495,7 @@ def _local_steps(m):
             if isinstance(b, Fail):
                 out.append(("cons4", b))
             else:
-                h = head(b)
+                h = head(b) if h is None else h
                 if isinstance(h, UnrVar) and h.var == v:
                     s = slot_at(slots, h.index)
                     if s is None:
@@ -507,20 +510,22 @@ def _local_steps(m):
     return out
 
 
-def _reducts(m) -> list:
-    """All one-step reducts (rule tag, term), closed under the evaluation
-    contexts, repeats included."""
-    out = _local_steps(m)
+def _reducts(m):
+    """(all one-step reducts (rule tag, term), closed under the evaluation
+    contexts, repeats included; head(m)). The head comes up the spine with
+    the reducts, so no spine node looks for it again."""
     match m:
-        case App(f, bg):
-            out += [(tag, App(t, bg)) for tag, t in _reducts(f)]
-        case LinSub(b, items, vs):
-            out += [(tag, LinSub(t, items, vs)) for tag, t in _reducts(b)]
-        case UnrSub(b, slots, v):
-            out += [(tag, UnrSub(t, slots, v)) for tag, t in _reducts(b)]
-        case Sharing(b, als, v):
-            out += [(tag, Sharing(t, als, v)) for tag, t in _reducts(b)]
-    return out
+        case App(b, bg):
+            rest = (bg,)
+        case LinSub(b, r1, r2) | UnrSub(b, r1, r2) | Sharing(b, r1, r2):
+            rest = (r1, r2)
+        case _:
+            return _local_steps(m, m), m
+    inner, h = _reducts(b)
+    if isinstance(m, Sharing):
+        h = _shared_head(h, *rest)
+    cls = type(m)
+    return _local_steps(m, h) + [(tag, cls(t, *rest)) for tag, t in inner], h
 
 
 def step_all(m) -> list:
@@ -530,7 +535,7 @@ def step_all(m) -> list:
     injective on keys, so no context needs to deduplicate."""
     out = []
     seen = set()
-    for tag, t in _reducts(m):
+    for tag, t in _reducts(m)[0]:
         key = (tag.split(":")[0], lam_key(t))
         if key not in seen:
             seen.add(key)

@@ -19,66 +19,73 @@ free names, and every set-like operation (canonical sorting, reduct
 deduplication, state spaces) keys on it.
 
 Nodes are never mutated after construction; rewrites build new nodes and
-share unchanged subtrees. Two derived values are therefore cached on the
-nodes themselves: every node's free-name set (built from its children's
-sets), and on a canonical form computed at the root, its key. The
-canonical walk computes each node's key once, bottom-up, and a parent
-sorts, deduplicates and orients its children by the keys they returned, so
-`canonicalize` and `term_key` cost O(1) on a state that is already
-canonical.
+share unchanged subtrees. Values derived from a node are therefore cached
+on it, in slots: its free-name set, whether it holds a restriction,
+whether `_extrude` leaves it unchanged, on a canonical form its key at the
+root, and the memo of the canonical walk `_walk`. The walk computes each
+node's key once, bottom-up, and a parent sorts, deduplicates and orients
+its children by the keys they returned. A node already in canonical form
+is returned as it is and keeps, for each context it was walked in (depth,
+levels of its free names, swap if it holds a restriction), its key. A
+subtree that a step left alone, shared by the step's target, is then not
+walked again. An entry holds only a context and a key, never a node: an
+entry naming its own node would put every such node in a reference cycle,
+which only the cycle collector frees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Iterator, Optional
 
 from .names import Name, NameSupply, fresh_name
 
 
 class Process:
-    __slots__ = ()
-    _fn = None    # cached free-name set
-    _key = None   # set on canonical forms only: the key at the root
+    # values derived from the node, cached on it (see the module docstring)
+    __slots__ = ("_fn", "_key", "_memo", "_ext", "_res")
+
+    def __post_init__(self):
+        self._fn = self._key = self._memo = self._ext = self._res = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Inaction(Process):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Success(Process):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Forward(Process):
     x: Name
     y: Name
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Par(Process):
     left: Process
     right: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Restrict(Process):
     x: Name
     left: Process
     right: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class NDChoice(Process):
     left: Process
     right: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Output(Process):
     x: Name
     y: Name          # bound in both continuations
@@ -86,63 +93,63 @@ class Output(Process):
     cont: Process     # behavior on x
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Input(Process):
     x: Name
     y: Name
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Select(Process):
     x: Name
     label: str
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Branch(Process):
     x: Name
     branches: tuple  # ((label, Process), ...) labels distinct, non-empty
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Close(Process):
     x: Name
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Wait(Process):
     x: Name
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Client(Process):
     x: Name
     y: Name
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Server(Process):
     x: Name
     y: Name
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SomeAvail(Process):
     x: Name
     cont: Process
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class NoneAvail(Process):
     x: Name
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expect(Process):
     x: Name
     deps: tuple  # names whose sessions are cancelled on failure
@@ -167,11 +174,8 @@ def make_branch(x: Name, items) -> Branch:
 
 def par_all(parts) -> Process:
     """Right-fold a list of processes into a parallel composition."""
-    parts = [p for p in parts]
-    if not parts:
-        return Inaction()
-    acc = parts[-1]
-    for p in reversed(parts[:-1]):
+    *rest, acc = list(parts) or [Inaction()]
+    for p in reversed(rest):
         acc = Par(p, acc)
     return acc
 
@@ -493,11 +497,39 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
     A parent sorts, deduplicates and orients its children by the keys they
     returned, so no subtree is keyed twice. With `swap`, every restriction
     also takes the least-keyed instance of the nested-restriction swap
-    axiom. Unchanged nodes other than sums and parallels are returned as
-    they are.
+    axiom. A node already in that form is returned as it is, and its key
+    is memoised on it for the context it was walked in.
     """
     if depth == 0 and not swap and p._key is not None:
         return p, p._key
+    ctx = (depth, swap and _has_restrict(p), *map(env.get, free_names(p)))
+    memo = p._memo or ()
+    for i in range(0, len(memo), 2):
+        if memo[i] == ctx:
+            return p, memo[i + 1]
+    node, key = _walk_node(p, env, depth, swap)
+    if node is p:
+        p._memo = memo + (ctx, key)
+    return node, key
+
+
+def _has_restrict(p: Process) -> bool:
+    if p._res is None:
+        p._res = isinstance(p, Restrict) or any(map(_has_restrict,
+                                                    _children(p)))
+    return p._res
+
+
+def _is_chain(p: Process, cls, parts) -> bool:
+    """Whether p is the right-nested `cls` chain of `parts`, node by node."""
+    for c in parts[:-1]:
+        if type(p) is not cls or p.left is not c:
+            return False
+        p = p.right
+    return p is parts[-1]
+
+
+def _walk_node(p: Process, env: dict, depth: int, swap: bool):
     # cases in order of frequency in translated states
     match p:
         case Wait(x, c) | SomeAvail(x, c):
@@ -506,11 +538,8 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
             return node, (_TAGS[type(p)], name_key(x, env), kc)
         case Expect(x, deps, c):
             cc, kc = _walk(c, env, depth, swap)
-            if len(deps) > 1:
-                deps2 = tuple(sorted(set(deps),
-                                     key=lambda n: name_key(n, env)))
-            else:
-                deps2 = deps
+            deps2 = deps if len(deps) < 2 else tuple(
+                sorted(set(deps), key=lambda n: name_key(n, env)))
             node = p if cc is c and deps2 == deps else Expect(x, deps2, cc)
             return node, ("exp", name_key(x, env),
                           tuple(name_key(n, env) for n in deps2), kc)
@@ -561,7 +590,8 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
             items.sort(key=itemgetter(1))
             if len(items) < 2:
                 return items[0] if items else (Inaction(), ("0",))
-            return (par_all([c for c, _ in items]),
+            forms = [c for c, _ in items]
+            return (p if _is_chain(p, Par, forms) else par_all(forms),
                     ("par", tuple(k for _, k in items)))
         case Inaction():
             return p, ("0",)
@@ -580,7 +610,9 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
             keys = sorted(seen)
             if len(keys) == 1:
                 return seen[keys[0]], keys[0]
-            return sum_all([seen[k] for k in keys]), ("sum", tuple(keys))
+            forms = [seen[k] for k in keys]
+            return (p if _is_chain(p, NDChoice, forms) else sum_all(forms),
+                    ("sum", tuple(keys)))
         case Branch(x, brs):
             ordered = tuple(sorted(brs, key=lambda kv: kv[0]))
             labels = [lab for lab, _ in ordered]
@@ -605,35 +637,29 @@ def is_inert(p: Process) -> bool:
 # ---------------------------------------------------------------------------
 # Scope normalization for state identity
 
-def _map(p: Process, f) -> Process:
-    """p with f applied to each immediate subprocess; p itself when f
-    returns every subprocess unchanged."""
-    kids = _children(p)
-    new = tuple(f(q) for q in kids)
-    if all(a is b for a, b in zip(kids, new)):
-        return p
-    return _with_children(p, new)
-
-
 def _extrude(p: Process) -> Process:
     """One bottom-up pass of maximal scope extrusion: every parallel
     component of a restriction's sides that does not mention the bound
     name moves out (instances of the first scope axiom plus units)."""
-    node = _map(p, _extrude)
-    if not isinstance(node, Restrict):
-        return node
-    x = node.x
-    outer, sides = [], []
-    for side in (node.left, node.right):
-        parts = par_parts(side)
-        keep = [c for c in parts if x in free_names(c)]
-        if len(keep) < len(parts):
-            outer += [c for c in parts if x not in free_names(c)]
-            side = par_all(keep)
-        sides.append(side)
-    if not outer:
-        return node
-    return par_all([Restrict(x, sides[0], sides[1])] + outer)
+    if p._ext:
+        return p
+    kids = _children(p)
+    new = tuple(map(_extrude, kids))
+    node = p if all(map(is_, kids, new)) else _with_children(p, new)
+    if isinstance(node, Restrict):
+        x = node.x
+        outer, sides = [], []
+        for side in (node.left, node.right):
+            parts = par_parts(side)
+            keep = [c for c in parts if x in free_names(c)]
+            if len(keep) < len(parts):
+                outer += [c for c in parts if x not in free_names(c)]
+                side = par_all(keep)
+            sides.append(side)
+        if outer:
+            return par_all([Restrict(x, sides[0], sides[1])] + outer)
+    p._ext = node is p
+    return node
 
 
 def _swap_candidates(p: Restrict):
