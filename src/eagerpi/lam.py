@@ -405,13 +405,10 @@ def head(m):
     inner head is a shared alias). An intermediate substitution is its own
     head."""
     match m:
-        case LinVar(_) | UnrVar(_, _) | Abs(_, _) | Fail(_) | SuccessT():
+        case (LinVar(_) | UnrVar(_, _) | Abs(_, _) | Fail(_) | SuccessT()
+              | InterSub(_, _, _)):
             return m
-        case App(f, _):
-            return head(f)
-        case InterSub(_, _, _):
-            return m
-        case LinSub(b, _, _) | UnrSub(b, _, _):
+        case App(b, _) | LinSub(b, _, _) | UnrSub(b, _, _):
             return head(b)
         case Sharing(b, als, v):
             return _shared_head(head(b), als, v)
@@ -512,8 +509,7 @@ def _local_steps(m, h=None):
 
 def _reducts(m):
     """(all one-step reducts (rule tag, term), closed under the evaluation
-    contexts, repeats included; head(m)). The head comes up the spine with
-    the reducts, so no spine node looks for it again."""
+    contexts, repeats included; head(m)), passing the head up the spine."""
     match m:
         case App(b, bg):
             rest = (bg,)

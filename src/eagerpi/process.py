@@ -26,11 +26,11 @@ root, and the memo of the canonical walk `_walk`. The walk computes each
 node's key once, bottom-up, and a parent sorts, deduplicates and orients
 its children by the keys they returned. A node already in canonical form
 is returned as it is and keeps, for each context it was walked in (depth,
-levels of its free names, swap if it holds a restriction), its key. A
-subtree that a step left alone, shared by the step's target, is then not
-walked again. An entry holds only a context and a key, never a node: an
-entry naming its own node would put every such node in a reference cycle,
-which only the cycle collector frees.
+levels of its free names, swap if it holds a restriction), its key, so a
+subtree that a step left alone is not walked again. An entry holds only a
+context and a key, never a node: an entry naming its own node would put
+the node in a reference cycle, which only the cycle collector frees. Equal
+contexts and name keys are one shared tuple, to keep entries small.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .names import Name, NameSupply, fresh_name
 
 
 class Process:
-    # values derived from the node, cached on it (see the module docstring)
     __slots__ = ("_fn", "_key", "_memo", "_ext", "_res")
 
     def __post_init__(self):
@@ -391,9 +390,13 @@ def freshen_binders(p: Process, supply: Optional[NameSupply] = None) -> Process:
 # ---------------------------------------------------------------------------
 # Alpha-invariant structural keys
 
+_SHARED = {}  # one tuple per distinct name key and walk context
+
+
 def name_key(n: Name, env: dict):
     lvl = env.get(n)
-    return ("b", lvl) if lvl is not None else ("f", n.display)
+    k = ("b", lvl) if lvl is not None else ("f", n.display)
+    return _SHARED.setdefault(k, k)
 
 
 def term_key(p: Process, env: Optional[dict] = None, depth: int = 0):
@@ -503,6 +506,7 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
     if depth == 0 and not swap and p._key is not None:
         return p, p._key
     ctx = (depth, swap and _has_restrict(p), *map(env.get, free_names(p)))
+    ctx = _SHARED.setdefault(ctx, ctx)
     memo = p._memo or ()
     for i in range(0, len(memo), 2):
         if memo[i] == ctx:

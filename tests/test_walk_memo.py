@@ -69,6 +69,11 @@ def _states(source):
         yield from (n.state for n in nodes.values())
 
 
+def _targets(state):
+    """The raw (not normalized) targets of the state's steps."""
+    return [t for _, t in _local_steps(state)]
+
+
 def _subtrees(roots):
     """Every node below the roots, each node object once."""
     seen, todo = {}, list(roots)
@@ -93,15 +98,17 @@ def _contexts(p):
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_warm_calls_match_fresh_copies(source):
+    """scope_normalize and canonicalize of every state and raw target give
+    the key and the text that they give on a fresh copy."""
     checked = 0
-    for t in (t for s in _states(source)
-              for t in [s] + [t for _, t in _local_steps(s)]):
-        cold = _fresh(t)
-        for f in (scope_normalize, canonicalize):
-            warm, fresh = f(t), f(cold)
-            assert term_key(warm) == term_key(fresh)
-            assert process_text(warm) == process_text(fresh)
-        checked += 1
+    for state in _states(source):
+        for t in [state] + _targets(state):
+            cold = _fresh(t)
+            for f in (scope_normalize, canonicalize):
+                warm, fresh = f(t), f(cold)
+                assert term_key(warm) == term_key(fresh)
+                assert process_text(warm) == process_text(fresh)
+            checked += 1
     assert checked > 1
 
 
@@ -113,7 +120,7 @@ def test_shared_subtrees_rekeyed_per_context(source):
     without the swap axiom and then with it."""
     states = list(_states(source))
     cases = [(q, ctx) for q in _subtrees(states) for ctx in _contexts(q)]
-    cases += [(t, ({}, 0)) for s in states for _, t in _local_steps(s)]
+    cases += [(t, ({}, 0)) for s in states for t in _targets(s)]
     swapped = 0
     for q, (env, depth) in cases:
         keys = [_walk(q, env, depth, swap)[1] for swap in (False, True)]
