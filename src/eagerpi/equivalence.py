@@ -26,11 +26,11 @@ from . import graph
 from . import lam as L
 from .eager import step_all
 from .names import Name, NameSupply
-from .process import (Branch, Client, Close, Expect, Forward, Inaction,
-                      Input, NDChoice, NoneAvail, Output, Par, Process,
-                      Restrict, Select, Server, SomeAvail, Success, Wait,
-                      canonicalize, free_names, par_all, par_parts,
-                      scope_normalize, sum_parts, term_key)
+from .process import (Branch, Client, Close, Expect, Input, NDChoice,
+                      NoneAvail, Output, Par, Process, Restrict, Select,
+                      Server, SomeAvail, Success, Wait, canonicalize,
+                      free_names, par_all, par_parts, scope_normalize,
+                      sum_parts, term_key)
 from .translate import Translator
 
 
@@ -74,28 +74,26 @@ def _prefix_of(p) -> Prefix:
     return None
 
 
+def _unguarded(p: Process):
+    """The parts of p under parallels, sums and restrictions only, left
+    to right: each is a prefixed process, a forwarder, inaction or OK."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, (Par, NDChoice, Restrict)):
+            stack += (q.right, q.left)
+        else:
+            yield q
+
+
+def _ready(cp: Process):
+    """The ready prefixes of the canonical form cp, with repeats."""
+    return filter(None, map(_prefix_of, _unguarded(cp)))
+
+
 def ready_prefixes(p: Process) -> frozenset:
     """All prefixes alpha such that p == N[alpha; P'] for an ND-context N."""
-    cp = canonicalize(p)
-    out = set()
-
-    def scan(q):
-        match q:
-            case Par(l, r) | NDChoice(l, r):
-                scan(l)
-                scan(r)
-            case Restrict(_, l, r):
-                scan(l)
-                scan(r)
-            case Inaction() | Success() | Forward(_, _):
-                pass
-            case _:
-                pre = _prefix_of(q)
-                if pre is not None:
-                    out.add(pre)
-
-    scan(cp)
-    return frozenset(out)
+    return frozenset(_ready(canonicalize(p)))
 
 
 def prefix_compatible(a: Prefix, b: Prefix) -> bool:
@@ -115,29 +113,17 @@ def ready_signature(p: Process):
     cp = canonicalize(p)
     frees = free_names(cp)
     sig = set()
-    for pre in ready_prefixes(cp):
+    for pre in _ready(cp):
+        extra = pre.extra if pre.kind in ("sel", "bra") else ()
         if pre.subject in frees:
-            extra = pre.extra if pre.kind in ("sel", "bra") else ()
             sig.add(("free", pre.kind, pre.subject.display, extra))
         else:
-            extra = pre.extra if pre.kind in ("sel", "bra") else ()
             sig.add(("bound", pre.kind, extra))
     return frozenset(sig)
 
 
 def has_unguarded_success(p: Process) -> bool:
-    cp = canonicalize(p)
-
-    def scan(q):
-        match q:
-            case Success():
-                return True
-            case Par(l, r) | NDChoice(l, r) | Restrict(_, l, r):
-                return scan(l) or scan(r)
-            case _:
-                return False
-
-    return scan(cp)
+    return any(isinstance(q, Success) for q in _unguarded(canonicalize(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ availability (some/none), expectation, and the inert success constant OK.
 the fields holding free names, the field holding the name it binds in its
 subprocesses, and the fields holding those subprocesses. Free names, the
 linear/unrestricted split, child access, substitution, simultaneous
-renaming and binder freshening are all derived from it. Only the key walks
-`_walk` and `term_key` spell out every constructor, because they fix the
-key format.
+renaming and binder freshening are all derived from it. Only the canonical
+walk `_walk_node` spells out every constructor, because it fixes the key
+format.
 
-Structural identity of processes is alpha-invariant: `term_key` serializes
-a process with de Bruijn levels for bound names and display strings for
-free names, and every set-like operation (canonical sorting, reduct
-deduplication, state spaces) keys on it.
+Structural identity of processes is alpha-invariant: `term_key` is the key
+of a process's canonical form, which the canonical walk computes with de
+Bruijn levels for bound names and display strings for free names, and
+every set-like operation (canonical sorting, reduct deduplication, state
+spaces) keys on it.
 
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
@@ -180,7 +181,7 @@ def par_all(parts) -> Process:
 
 
 def sum_all(parts) -> Process:
-    parts = [p for p in parts]
+    parts = list(parts)
     if not parts:
         raise ValueError("empty non-deterministic sum")
     acc = parts[-1]
@@ -399,71 +400,21 @@ def name_key(n: Name, env: dict):
     return _SHARED.setdefault(k, k)
 
 
-def term_key(p: Process, env: Optional[dict] = None, depth: int = 0):
-    """Serialization of a process, invariant under alpha-renaming.
+def term_key(p: Process):
+    """The key of p's canonical form, invariant under alpha-renaming and
+    under the AC/unit fragment of structural congruence that
+    `canonicalize` decides.
 
     Bound names appear as their binder's de Bruijn level, free names as
-    their display string. Two processes are structurally equal (up to
-    alpha) iff their keys are equal.
+    their display string. Two processes get equal keys iff their canonical
+    forms are equal up to alpha, so on a raw process the key is coarser
+    than its syntax: `P | 0` and `P` share one, as do a process with and
+    without an unused server, and `Expect` prefixes that differ only in
+    repeated deps. The key is stored on the canonical form only, never on
+    a raw p: `_walk` takes a node with a key for canonical and returns it
+    unwalked.
     """
-    if not env and depth == 0 and p._key is not None:
-        return p._key
-    if env is None:
-        env = {}
-    match p:
-        case Inaction():
-            return ("0",)
-        case Success():
-            return ("ok",)
-        case Forward(x, y):
-            ks = sorted([name_key(x, env), name_key(y, env)])
-            return ("fwd", ks[0], ks[1])
-        case Par(_, _):
-            return ("par", tuple(sorted(term_key(q, env, depth)
-                                        for q in par_parts(p))))
-        case NDChoice(_, _):
-            return ("sum", tuple(sorted(set(term_key(q, env, depth)
-                                            for q in sum_parts(p)))))
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            ks = sorted([term_key(l, env2, depth + 1),
-                         term_key(r, env2, depth + 1)])
-            return ("res", ks[0], ks[1])
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return ("out", name_key(x, env), term_key(pl, env2, depth + 1),
-                    term_key(c, env2, depth + 1))
-        case Input(x, y, c):
-            env2 = {**env, y: depth}
-            return ("in", name_key(x, env), term_key(c, env2, depth + 1))
-        case Client(x, y, c):
-            env2 = {**env, y: depth}
-            return ("cli", name_key(x, env), term_key(c, env2, depth + 1))
-        case Server(x, y, c):
-            env2 = {**env, y: depth}
-            return ("srv", name_key(x, env), term_key(c, env2, depth + 1))
-        case Select(x, lab, c):
-            return ("sel", name_key(x, env), lab, term_key(c, env, depth))
-        case Branch(x, brs):
-            return ("bra", name_key(x, env),
-                    tuple((k, term_key(q, env, depth)) for k, q in brs))
-        case Close(x):
-            return ("close", name_key(x, env))
-        case Wait(x, c):
-            return ("wait", name_key(x, env), term_key(c, env, depth))
-        case SomeAvail(x, c):
-            return ("psome", name_key(x, env), term_key(c, env, depth))
-        case NoneAvail(x):
-            return ("pnone", name_key(x, env))
-        case Expect(x, deps, c):
-            return ("exp", name_key(x, env),
-                    tuple(sorted(name_key(n, env) for n in deps)),
-                    term_key(c, env, depth))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def alpha_equal(p: Process, q: Process) -> bool:
-    return term_key(p) == term_key(q)
+    return p._key if p._key is not None else _canonical(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +446,9 @@ _TAGS = {Input: "in", Client: "cli", Server: "srv", Wait: "wait",
 
 def _walk(p: Process, env: dict, depth: int, swap: bool):
     """(canonical form of p, its key), with the binders of `env` open at
-    levels below `depth`; the key is `term_key(form, env, depth)`.
+    levels below `depth`. The key serializes the form with each bound name
+    as its binder's level and each free name as its display string;
+    `tests/reference_canon.term_key` spells the format out and checks it.
 
     A parent sorts, deduplicates and orients its children by the keys they
     returned, so no subtree is keyed twice. With `swap`, every restriction
@@ -753,7 +706,7 @@ def struct_congruent(p: Process, q: Process, bound: int = 4) -> bool:
     for _ in range(bound):
         if not frontier_p and not frontier_q:
             break
-        # expand the smaller frontier first
+        # each round expands both frontiers by one rewrite step, p's first
         for seen, other, frontier in ((seen_p, seen_q, frontier_p),
                                       (seen_q, seen_p, frontier_q)):
             new = []

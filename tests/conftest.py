@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -6,6 +7,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from eagerpi.parser import parse_lc, parse_spi
+from eagerpi.printer import process_text
+from eagerpi.process import Process, term_key
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, "..", "corpus")
@@ -23,6 +26,26 @@ def load_spi(name):
 def load_lc(name):
     with open(corpus_path(name), "r", encoding="utf-8") as fh:
         return parse_lc(fh.read())
+
+
+def _fresh(x):
+    """x rebuilt from new nodes through its dataclass fields, so that no
+    value cached on a node carries over."""
+    if isinstance(x, Process):
+        return type(x)(*(_fresh(getattr(x, f.name))
+                         for f in dataclasses.fields(x)))
+    if isinstance(x, tuple):
+        return tuple(map(_fresh, x))
+    return x
+
+
+def assert_fixpoint(form, normalize):
+    """`normalize` maps `form` to itself when it walks it: a form that
+    keeps its key is returned unwalked, so this checks a copy without
+    cached values, which must get form's key and text."""
+    cold = normalize(_fresh(form))
+    assert term_key(cold) == term_key(form)
+    assert process_text(cold) == process_text(form)
 
 
 def perfbench_workloads():

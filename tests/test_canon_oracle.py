@@ -5,15 +5,19 @@ On every corpus process, and on every raw one-step target (before
 normalization) of every state explored from the corpus, the `corr.lc`
 translations and ex32's `M`, the two must give equal keys for
 `scope_normalize` and for `canonicalize`, and equal free-name sets.
+`term_key` of a raw target must be the reference key of its canonical
+form, and must leave nothing on the target that changes a later
+`canonicalize` of it.
 """
 
 import pytest
 
 from eagerpi.eager import _local_steps
 from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.printer import process_text
 from eagerpi.process import canonicalize, free_names, scope_normalize, term_key
 from tests import reference_canon as ref
-from tests.conftest import load_lc, load_spi
+from tests.conftest import _fresh, assert_fixpoint, load_lc, load_spi
 
 # criterion 9: the closed corr.lc terms, explored at the correspondence bound
 CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
@@ -67,13 +71,19 @@ def test_keys_match_reference(source):
             ref.term_key(ref.scope_normalize(t))
         assert term_key(canonicalize(t)) == ref.term_key(ref.canonicalize(t))
         assert free_names(t) == ref.free_names(t)
+        assert term_key(t) == ref.term_key(ref.canonicalize(t))
+        warm, cold = canonicalize(t), canonicalize(_fresh(t))
+        assert term_key(warm) == term_key(cold)
+        assert process_text(warm) == process_text(cold)
         checked += 1
     assert checked > 1
 
 
 def test_canonical_forms_are_fixpoints():
     """A canonical form canonicalizes to itself, and its cached key is the
-    key the reference computes for it from scratch."""
+    key the reference computes for it from scratch. A form that keeps its
+    key is returned unwalked, so the fixpoint is also checked on a copy
+    without cached values."""
     for p in _corpus():
         c = canonicalize(p)
         assert canonicalize(c) is c
@@ -81,6 +91,8 @@ def test_canonical_forms_are_fixpoints():
         n = scope_normalize(p)
         assert canonicalize(n) is n
         assert term_key(n) == ref.term_key(n)
+        assert_fixpoint(c, canonicalize)
+        assert_fixpoint(n, scope_normalize)
 
 
 def _collected_server_cases():

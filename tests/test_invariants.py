@@ -11,6 +11,7 @@ from eagerpi.process import (Client, Close, Expect, Forward, Inaction, Input,
                              struct_congruent, term_key)
 from eagerpi.sessiontypes import (Bang, Bot, ExpectT, Maybe, One, Parr, Plus,
                                   Query, Tensor, With, dual, plus, with_)
+from tests.conftest import assert_fixpoint
 
 names = st.integers(1, 6).map(lambda i: Name(i, f"n{i}"))
 
@@ -71,6 +72,7 @@ def test_dual_swaps_constructors(t):
 def test_canonicalize_idempotent(p):
     c = canonicalize(p)
     assert term_key(c) == term_key(canonicalize(c))
+    assert_fixpoint(c, canonicalize)
 
 
 @given(processes)

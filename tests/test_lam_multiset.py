@@ -19,9 +19,9 @@ from eagerpi.equivalence import (_translate_fresh, check_loose_completeness,
                                  check_loose_soundness,
                                  check_success_sensitivity)
 from eagerpi.parser import parse_lc
-from eagerpi.process import term_key
 from tests import reference_lam as ref
 from tests.conftest import load_lc, perfbench_workloads
+from tests.reference_canon import term_key  # the key of a raw process
 
 BOUND = 64
 

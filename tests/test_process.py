@@ -1,16 +1,20 @@
 """Syntax-level machinery: free names, substitution, canonical forms, and
-the bounded structural-congruence check."""
+the bounded structural-congruence check.
+
+Raw results are compared by `reference_canon.term_key`, the key of a
+process as written; `term_key` keys its canonical form."""
 
 import random
 
 from eagerpi.gen import generate_corpus
 from eagerpi.names import NameSupply
 from eagerpi.process import (Close, Forward, Inaction, Input, NDChoice, Par,
-                             Restrict, Server, Success, Wait, alpha_equal,
-                             canonicalize, free_name_split, free_names,
-                             freshen_binders, is_inert, scope_normalize,
-                             scope_rewrites, struct_congruent, substitute,
-                             term_key)
+                             Restrict, Server, Success, Wait, canonicalize,
+                             free_name_split, free_names, freshen_binders,
+                             is_inert, scope_normalize, scope_rewrites,
+                             struct_congruent, substitute, term_key)
+from tests import reference_canon as ref
+from tests.conftest import assert_fixpoint
 
 s = NameSupply(1)
 x, y, z, u, w = (s.fresh(c) for c in "xyzuw")
@@ -33,7 +37,8 @@ def test_free_names_server_subject_unrestricted():
 
 
 def test_substitute_forwarder():
-    assert alpha_equal(substitute(Forward(x, u), y, x), Forward(y, u))
+    assert ref.term_key(substitute(Forward(x, u), y, x)) == \
+        ref.term_key(Forward(y, u))
 
 
 def test_substitute_under_binder_no_capture():
@@ -41,35 +46,36 @@ def test_substitute_under_binder_no_capture():
     p = Input(x, xp, Forward(xp, z))
     q = substitute(p, y, z)
     b = s.fresh("b")
-    assert alpha_equal(q, Input(x, b, Forward(b, y)))
+    assert ref.term_key(q) == ref.term_key(Input(x, b, Forward(b, y)))
     assert z not in free_names(q)
 
 
 def test_substitute_identity():
     p = Input(x, s.fresh("b"), Close(x))
-    assert alpha_equal(substitute(p, x, x), p)
+    assert ref.term_key(substitute(p, x, x)) == ref.term_key(p)
 
 
 def test_canonicalize_par_unit():
     p = Par(Close(x), Inaction())
-    assert alpha_equal(canonicalize(p), Close(x))
+    assert ref.term_key(canonicalize(p)) == ref.term_key(Close(x))
 
 
 def test_canonicalize_sum_idempotent_axiom():
     p = NDChoice(Close(x), Close(x))
-    assert alpha_equal(canonicalize(p), Close(x))
+    assert ref.term_key(canonicalize(p)) == ref.term_key(Close(x))
 
 
 def test_canonicalize_server_gc():
     yy = s.fresh("y")
     p = Restrict(x, Server(x, yy, Close(yy)), Close(z))
-    assert alpha_equal(canonicalize(p), Close(z))
+    assert ref.term_key(canonicalize(p)) == ref.term_key(Close(z))
 
 
 def test_canonicalize_idempotent_on_corpus():
     for p in generate_corpus(11, 25):
         c1 = canonicalize(p)
         assert term_key(c1) == term_key(canonicalize(c1))
+        assert_fixpoint(c1, canonicalize)
 
 
 def test_canonicalize_congruent_to_source():
@@ -133,4 +139,5 @@ def test_scope_normalize_stable_and_alpha_invariant():
     for p in generate_corpus(16, 12):
         n1 = scope_normalize(p)
         assert term_key(scope_normalize(n1)) == term_key(n1)
+        assert_fixpoint(n1, scope_normalize)
         assert term_key(scope_normalize(freshen_binders(p))) == term_key(n1)

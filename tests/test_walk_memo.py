@@ -12,7 +12,6 @@ cycle: run one pass of each process workload of the benchmark and check
 that the cycle collector finds no process node.
 """
 
-import dataclasses
 import gc
 
 import pytest
@@ -24,7 +23,7 @@ from eagerpi.printer import process_text
 from eagerpi.process import (Close, Input, Process, Restrict, _children,
                              _walk, canonicalize, free_names,
                              scope_normalize, term_key)
-from tests.conftest import load_lc, load_spi, perfbench_workloads
+from tests.conftest import _fresh, load_lc, load_spi, perfbench_workloads
 
 CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
           "T15", "T16", "T17", "T18")
@@ -47,17 +46,6 @@ SOURCES = {
     "corr-open": (lambda: _translations("corr.lc", OPEN), 8),
     "ex32-M": (lambda: _translations("ex32.lc", ("M",)), 30),
 }
-
-
-def _fresh(x):
-    """x rebuilt from new nodes through its dataclass fields, so that no
-    value cached on a node carries over."""
-    if isinstance(x, Process):
-        return type(x)(*(_fresh(getattr(x, f.name))
-                         for f in dataclasses.fields(x)))
-    if isinstance(x, tuple):
-        return tuple(map(_fresh, x))
-    return x
 
 
 def _states(source):

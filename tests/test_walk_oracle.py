@@ -30,10 +30,10 @@ from eagerpi.names import Name, NameSupply
 from eagerpi.process import (BINDING, Client, Close, Input, Output, Par,
                              Process, Restrict, Server, Wait, _children,
                              _with_children, free_name_split, free_names,
-                             freshen_binders, rename_free, substitute,
-                             term_key)
+                             freshen_binders, rename_free, substitute)
 from tests import reference_walks as ref
 from tests.conftest import load_lc, load_spi
+from tests.reference_canon import term_key  # the key of a raw process
 from tests.test_invariants import processes
 
 
