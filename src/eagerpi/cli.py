@@ -174,11 +174,13 @@ def cmd_step(args):
     return 0
 
 
+_CUT = {"depth": "bound exhausted", "states": "state cap reached"}
+
+
 def _warn_if_cut(args, cause):
     """Name the bound that stopped a search, if one did."""
     if cause != "none":
-        text = "state cap reached" if cause == "states" else "bound exhausted"
-        _emit(args, {"warning": text}, f"-- {text}")
+        _emit(args, {"warning": _CUT[cause]}, f"-- {_CUT[cause]}")
 
 
 def cmd_run(args):
@@ -230,9 +232,10 @@ def cmd_bisim(args):
     p = _def(src, args.p)
     q = _def(src, args.q)
     res = bisim_eager(p, q, depth=args.depth, max_states=args.max_states)
-    _emit(args, {"verdict": res.verdict, "witness": res.witness},
-          res.verdict if not res.witness
-          else res.verdict + "\n" + "\n".join(f"  {w}" for w in res.witness))
+    cut = f" -- {_CUT[res.cause]}" if res.verdict == "inconclusive" else ""
+    lines = [res.verdict + cut] + [f"  {w}" for w in res.witness or ()]
+    _emit(args, {"verdict": res.verdict, "witness": res.witness,
+                 "cause": res.cause}, "\n".join(lines))
     return {"bisimilar": 0, "distinguished": 1, "inconclusive": 3}[res.verdict]
 
 

@@ -14,6 +14,13 @@ exactly.
 The precongruence `P >=+ Q` (P has at least as many branches as Q) is
 decided on canonical forms by its four rules: reflexivity, projection of a
 sum onto a sub-sum, and congruence under parallel and restriction.
+
+Bisimilarity explores the two step graphs through one table of steps and
+one of ready signatures, both keyed by state, so a state the graphs share
+is stepped and signed once. Complete graphs are decided by partition
+refinement over their union; a cut graph keeps the fixpoint over pairs,
+because an unexpanded state matches any state with its signature, which
+no partition can express. That fixpoint also gives every witness.
 """
 
 from __future__ import annotations
@@ -26,11 +33,9 @@ from . import graph
 from . import lam as L
 from .eager import step_all
 from .names import Name, NameSupply
-from .process import (Branch, Client, Close, Expect, Input, NDChoice,
-                      NoneAvail, Output, Par, Process, Restrict, Select,
-                      Server, SomeAvail, Success, Wait, canonicalize,
-                      free_names, par_all, par_parts, scope_normalize,
-                      sum_parts, term_key)
+from .process import (PREFIXED, NDChoice, Par, Process, Restrict, Success,
+                      canonicalize, free_names, par_all, par_parts,
+                      scope_normalize, sum_parts, term_key)
 from .translate import Translator
 
 
@@ -40,38 +45,20 @@ class Prefix:
     subject: Name
     extra: tuple = ()
 
-    def describe(self) -> str:
-        base = f"{self.kind} {self.subject.display}"
-        if self.extra:
-            return base + " " + ",".join(str(e) for e in self.extra)
-        return base
+
+_KINDS = dict(zip(PREFIXED,
+                  "out in sel bra close wait cli srv some none exp".split()))
 
 
 def _prefix_of(p) -> Prefix:
-    match p:
-        case Output(x, _, _, _):
-            return Prefix("out", x)
-        case Input(x, _, _):
-            return Prefix("in", x)
-        case Select(x, lab, _):
-            return Prefix("sel", x, (lab,))
-        case Branch(x, brs):
-            return Prefix("bra", x, tuple(k for k, _ in brs))
-        case Close(x):
-            return Prefix("close", x)
-        case Wait(x, _):
-            return Prefix("wait", x)
-        case Client(x, _, _):
-            return Prefix("cli", x)
-        case Server(x, _, _):
-            return Prefix("srv", x)
-        case SomeAvail(x, _):
-            return Prefix("some", x)
-        case NoneAvail(x):
-            return Prefix("none", x)
-        case Expect(x, deps, _):
-            return Prefix("exp", x, tuple(sorted(d.display for d in deps)))
-    return None
+    kind = _KINDS.get(type(p))
+    if kind == "sel":
+        return Prefix(kind, p.x, (p.label,))
+    if kind == "bra":
+        return Prefix(kind, p.x, tuple(k for k, _ in p.branches))
+    if kind == "exp":
+        return Prefix(kind, p.x, tuple(sorted(d.display for d in p.deps)))
+    return Prefix(kind, p.x) if kind else None
 
 
 def _unguarded(p: Process):
@@ -99,9 +86,7 @@ def ready_prefixes(p: Process) -> frozenset:
 def prefix_compatible(a: Prefix, b: Prefix) -> bool:
     """Outputs on one subject match outputs on the same subject regardless
     of payload, likewise inputs; every other prefix only matches itself."""
-    if a.kind == b.kind == "out":
-        return a.subject == b.subject
-    if a.kind == b.kind == "in":
+    if a.kind == b.kind and a.kind in ("out", "in"):
         return a.subject == b.subject
     return a == b
 
@@ -196,19 +181,28 @@ def _match_par(ps, qs) -> bool:
 # ---------------------------------------------------------------------------
 # State-graph exploration
 
-def _graph(p: Process, depth: int, max_states: int, goal=None):
+def _steps(p: Process):
+    return [(st.redex.rule, st.target) for st in step_all(p)]
+
+
+def _graph(p: Process, depth: int, max_states: int, goal=None, step=_steps):
     """The eager reduction graph of p (see `graph.explore`)."""
-    return graph.explore(
-        scope_normalize(p),
-        lambda q: [(st.redex.rule, st.target) for st in step_all(q)],
-        term_key, depth, max_states, goal)
+    return graph.explore(scope_normalize(p), step, term_key, depth,
+                         max_states, goal)
 
 
-def explore(p: Process, depth: int, max_states: int = 6000):
+def explore(p: Process, depth: int, max_states: int = 6000, step=_steps):
     """Canonical state graph to the given depth; returns (nodes by key,
-    root key, truncated flag)."""
-    nodes, root, cause, _ = _graph(p, depth, max_states)
+    root key, truncated flag). `step` gives a state's [(rule, target)]."""
+    nodes, root, cause, _ = _graph(p, depth, max_states, step=step)
     return nodes, root, cause != "none"
+
+
+def _cause(nodes, root, truncated, max_states) -> str:
+    """The bound that cut a graph from `explore`: the state cap stops a
+    search just after an expansion, and the root is expanded first."""
+    capped = len(nodes) > max_states and nodes[root].expanded
+    return "states" if capped else "depth" if truncated else "none"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +212,7 @@ def explore(p: Process, depth: int, max_states: int = 6000):
 class BisimResult:
     verdict: str               # bisimilar | distinguished | inconclusive
     witness: list = None
+    cause: str = "none"        # none | depth | states; p's graph first
 
     @property
     def bisimilar(self):
@@ -226,19 +221,36 @@ class BisimResult:
 
 def bisim_eager(p: Process, q: Process, depth: int = 12,
                 max_states: int = 6000) -> BisimResult:
-    """On-the-fly ready-prefix bisimulation over the eager step graphs.
+    """Ready-prefix bisimulation over the eager step graphs of p and q.
 
-    Finite graphs get the exact greatest fixed point; when exploration is
-    truncated by the depth or state bound and no distinction was found the
-    verdict is inconclusive.
+    Both graphs are explored through one table of steps by state key and
+    signed through one table of ready signatures, so each state is stepped
+    and signed once. Complete graphs are decided by partition refinement
+    over their union. In a cut graph an unexpanded state matches any state
+    with its signature, a relation that is not transitive, so no partition
+    expresses it: the greatest fixed point over the signature-equal pairs
+    decides there, and finds the witness when the roots' blocks differ.
     """
-    gp, rp, tp = explore(p, depth, max_states)
-    gq, rq, tq = explore(q, depth, max_states)
-    truncated = tp or tq
-    sigs_p = {k: ready_signature(n.state) for k, n in gp.items()}
-    sigs_q = {k: ready_signature(n.state) for k, n in gq.items()}
+    table = {}
 
-    alive = {(a, b) for a in gp for b in gq if sigs_p[a] == sigs_q[b]}
+    def step(s):
+        k = term_key(s)
+        if k not in table:
+            table[k] = _steps(s)
+        return table[k]
+
+    gp, rp, tp = explore(p, depth, max_states, step)
+    gq, rq, tq = explore(q, depth, max_states, step)
+    cause = _cause(gp, rp, tp, max_states) if tp else \
+        _cause(gq, rq, tq, max_states)
+    union = {**gq, **gp}
+    sigs = {k: ready_signature(n.state) for k, n in union.items()}
+    if cause == "none":
+        block = _refine(union, sigs)
+        if block[rp] == block[rq]:
+            return BisimResult("bisimilar")
+
+    alive = {(a, b) for a in gp for b in gq if sigs[a] == sigs[b]}
     reason = {}   # eliminated pair -> the move that eliminated it
 
     # Eliminations are only sound against a defender whose successor list
@@ -268,42 +280,50 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
                 changed = True
 
     if (rp, rq) in alive:
-        if truncated:
-            return BisimResult("inconclusive")
-        return BisimResult("bisimilar")
+        return BisimResult("inconclusive" if tp or tq else "bisimilar",
+                           cause=cause)
 
-    witness = _witness(rp, rq, gp, gq, sigs_p, sigs_q, alive, reason)
-    return BisimResult("distinguished", witness)
+    witness = _witness(rp, rq, gp, gq, sigs, reason)
+    return BisimResult("distinguished", witness, cause)
 
 
-def _witness(a, b, gp, gq, sigs_p, sigs_q, alive, reason, limit=64):
+def _refine(nodes, sigs):
+    """Each state's block number in the coarsest partition of the complete
+    graph `nodes` that refines the ready signatures and in which the
+    states of a block reach one set of blocks in a step, labels ignored
+    as in the pair fixpoint. Blocks split until their number is stable."""
+    count, ids = 0, {}
+    block = {k: ids.setdefault(sigs[k], len(ids)) for k in nodes}
+    while len(ids) > count:
+        count, ids = len(ids), {}
+        block = {k: ids.setdefault((block[k], frozenset(
+            block[k2] for _, k2 in n.successors)), len(ids))
+            for k, n in nodes.items()}
+    return block
+
+
+def _witness(a, b, gp, gq, sigs, reason, limit=64):
     from .printer import process_text
     steps = []
     for _ in range(limit):
         why = reason.get((a, b))
         if why is None:   # the ready signatures differ
-            only_p = sorted(map(str, sigs_p[a] - sigs_q[b]))
-            only_q = sorted(map(str, sigs_q[b] - sigs_p[a]))
+            only_p = sorted(map(str, sigs[a] - sigs[b]))
+            only_q = sorted(map(str, sigs[b] - sigs[a]))
             steps.append({"kind": "ready-mismatch",
                           "left-only": only_p, "right-only": only_q})
             return steps
         side, rule, tgt, other = why
-        if side == "left":
-            steps.append({"kind": "move", "side": "left", "rule": rule,
-                          "to": process_text(gp[tgt].state, canonical=True)})
-            responses = [b2 for _, b2 in gq[other].successors]
-            if not responses:
-                steps.append({"kind": "no-response", "side": "right"})
-                return steps
-            a, b = tgt, responses[0]
-        else:
-            steps.append({"kind": "move", "side": "right", "rule": rule,
-                          "to": process_text(gq[tgt].state, canonical=True)})
-            responses = [a2 for _, a2 in gp[other].successors]
-            if not responses:
-                steps.append({"kind": "no-response", "side": "left"})
-                return steps
-            a, b = responses[0], tgt
+        left = side == "left"
+        mover, defender = (gp, gq) if left else (gq, gp)
+        steps.append({"kind": "move", "side": side, "rule": rule,
+                      "to": process_text(mover[tgt].state, canonical=True)})
+        responses = [k for _, k in defender[other].successors]
+        if not responses:
+            steps.append({"kind": "no-response",
+                          "side": "right" if left else "left"})
+            return steps
+        a, b = (tgt, responses[0]) if left else (responses[0], tgt)
     steps.append({"kind": "truncated"})
     return steps
 

@@ -76,6 +76,20 @@ def test_bisim_exit_codes(capsys):
     assert code == 0
 
 
+def test_bisim_inconclusive_names_the_bound(capsys, monkeypatch):
+    vm = corpus_path("vm.spi")
+    code, out = run(capsys, "bisim", vm, "VM1", "VM1", "--depth", "0")
+    assert code == 3 and out.strip() == "inconclusive -- bound exhausted"
+    code, out = run(capsys, "bisim", vm, "VM1", "VM1", "--depth", "0",
+                    "--json")
+    assert code == 3
+    assert json.loads(out) == {"verdict": "inconclusive", "witness": None,
+                               "cause": "depth"}
+    monkeypatch.setenv("EAGERPI_MAX_STATES", "1")
+    code, out = run(capsys, "bisim", vm, "VM1", "VM1")
+    assert code == 3 and out.strip() == "inconclusive -- state cap reached"
+
+
 def test_correspond(capsys):
     code, out = run(capsys, "correspond", corpus_path("corr.lc"), "T03",
                     "--bound", "20")

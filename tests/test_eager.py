@@ -1,12 +1,17 @@
 """ND-contexts, commitment, redex search, and the eager engine."""
 
+import dataclasses
+
 from eagerpi.contexts import (Hole, NPar, NRes, NSum, commit, decompositions,
                               is_dcontext, plug)
 from eagerpi.eager import normal_forms, step_all, trace
 from eagerpi.names import NameSupply
-from eagerpi.process import (Close, Inaction, NDChoice, Par, Restrict, Select,
-                             SomeAvail, Success, Wait, canonicalize,
-                             struct_congruent, sum_parts, term_key)
+from eagerpi.printer import process_text
+from eagerpi.process import (Branch, Close, Inaction, NDChoice, Par, Process,
+                             Restrict, Select, SomeAvail, Success, Wait,
+                             canonicalize, freshen_binders, scope_normalize,
+                             scope_rewrites, struct_congruent, sum_parts,
+                             term_key)
 from tests import reference_canon as ref
 
 s = NameSupply(1)
@@ -212,3 +217,43 @@ def test_exhaustive_trace_depths_are_minimal(generated):
     assert not tr.truncated and not truncated
     depths = _bfs_depths(nodes, root)
     assert {term_key(n.process): n.depth for n in tr.nodes.values()} == depths
+
+
+def _swapped(p):
+    """p with the two sides of every parallel, sum and cut swapped."""
+    if isinstance(p, Branch):
+        return Branch(p.x, tuple((k, _swapped(b)) for k, b in p.branches))
+    kids = {f.name: _swapped(v) for f in dataclasses.fields(p)
+            if isinstance(v := getattr(p, f.name), Process)}
+    if isinstance(p, (Par, NDChoice, Restrict)):
+        kids["left"], kids["right"] = kids["right"], kids["left"]
+    return dataclasses.replace(p, **kids) if kids else p
+
+
+def _step_set(p):
+    return {(st.redex.rule, term_key(st.target)) for st in step_all(p)}
+
+
+def test_step_all_invariant_under_congruent_variants(generated, vm, movie):
+    # `bisim_eager` steps each key once for both its graphs, so every
+    # state with a key must have the steps of that key: the sides of
+    # `|`, `++` and cuts swapped, binders renamed, and a scope rewrite
+    # that normalizes to the same key all step to the same targets
+    from eagerpi.equivalence import explore
+    states = {}
+    for src in (generated, vm, movie):
+        for name in src.order:
+            nodes, _, _ = explore(src.defs[name][0], 12, 200)
+            states.update((k, n.state) for k, n in nodes.items())
+    rewritten = 0
+    for key, p in states.items():
+        variants = [_swapped(p), freshen_binders(p)]
+        r = next((r for r in scope_rewrites(p)
+                  if term_key(scope_normalize(r)) == key), None)
+        if r is not None:
+            variants.append(r)
+            rewritten += 1
+        want = _step_set(p)
+        for v in variants:
+            assert _step_set(v) == want, process_text(p)
+    assert len(states) > 800 and rewritten > 600
