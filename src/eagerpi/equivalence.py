@@ -231,12 +231,13 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
     expresses it: the greatest fixed point over the signature-equal pairs
     decides there, and finds the witness when the roots' blocks differ.
     """
-    table = {}
+    table, seen = {}, {}   # steps by key; one target object per key
 
     def step(s):
         k = term_key(s)
         if k not in table:
-            table[k] = _steps(s)
+            table[k] = [(rule, seen.setdefault(term_key(t), t))
+                        for rule, t in _steps(s)]
         return table[k]
 
     gp, rp, tp = explore(p, depth, max_states, step)
