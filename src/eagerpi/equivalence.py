@@ -281,7 +281,7 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
                 changed = True
 
     if (rp, rq) in alive:
-        return BisimResult("inconclusive" if tp or tq else "bisimilar",
+        return BisimResult("bisimilar" if cause == "none" else "inconclusive",
                            cause=cause)
 
     witness = _witness(rp, rq, gp, gq, sigs, reason)

@@ -4,7 +4,8 @@ The library explores both sides through one step table and decides
 complete graphs by partition refinement; the reference explores each side
 on its own and decides everything by the pair fixpoint. On every case,
 at every depth and state cap below, the two must give the same verdict
-and the same witness. Since `bisim_eager` falls back on the fixpoint when
+and the same witness, and the truncation cause must be the one the
+explorer reported. Since `bisim_eager` falls back on the fixpoint when
 the roots' blocks differ, a refinement that splits too much would only
 cost time there, so the refinement alone must also give the reference's
 verdict on every pair of complete graphs.
@@ -14,7 +15,7 @@ import itertools
 
 import pytest
 
-from eagerpi.equivalence import _refine, bisim_eager, explore, ready_signature
+from eagerpi.equivalence import _graph, _refine, bisim_eager, ready_signature
 from eagerpi.parser import parse_spi
 from eagerpi.process import Par, canonicalize, scope_rewrites
 from tests import reference_bisim as ref
@@ -93,12 +94,8 @@ def outcome(res):
     return res.verdict, res.witness
 
 
-def refined(p, q, depth, cap):
-    """The verdict of the partition refinement alone, on complete graphs."""
-    gp, rp, tp = explore(p, depth, cap)
-    gq, rq, tq = explore(q, depth, cap)
-    if tp or tq:
-        return None
+def refined(gp, rp, gq, rq):
+    """The verdict of the partition refinement alone."""
     union = {**gq, **gp}
     block = _refine(union, {k: ready_signature(n.state)
                             for k, n in union.items()})
@@ -110,10 +107,15 @@ def test_bisim_matches_reference(group):
     checked = 0
     for cid, p, q in CASES[group]():
         for depth, cap in itertools.product(DEPTHS, CAPS):
-            got = outcome(bisim_eager(p, q, depth, cap))
+            res = bisim_eager(p, q, depth, cap)
             want = outcome(ref.bisim_eager(p, q, depth, cap))
-            assert got == want, (cid, depth, cap)
-            assert refined(p, q, depth, cap) in (None, want[0]), \
-                (cid, depth, cap)
+            assert outcome(res) == want, (cid, depth, cap)
+            # the cause is the explorer's own, p's graph first
+            gp, rp, cause_p, _ = _graph(p, depth, cap)
+            gq, rq, cause_q, _ = _graph(q, depth, cap)
+            cause = cause_p if cause_p != "none" else cause_q
+            assert res.cause == cause, (cid, depth, cap)
+            if cause == "none":
+                assert refined(gp, rp, gq, rq) == want[0], (cid, depth, cap)
             checked += 1
     assert checked
