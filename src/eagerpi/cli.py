@@ -21,8 +21,8 @@ from .equivalence import (bisim_eager, check_loose_completeness,
                           check_loose_soundness, check_success_sensitivity)
 from .lamtypes import LamTypeError, check_wf, check_wt
 from .names import NameSupply
-from .parser import (ParseError, _Cursor, parse_lc, parse_session_type,
-                     parse_spi, tokenize)
+from .parser import (MAX_NESTING, ParseError, _Cursor, parse_lc,
+                     parse_session_type, parse_spi, tokenize)
 from .printer import ctx_text, lam_text, process_text
 from .translate import Translator, translate_contexts, translate_strict
 from .typecheck import SessionTypeError, infer_context, typecheck
@@ -322,6 +322,9 @@ def main(argv=None):
     co.set_defaults(fn=cmd_correspond)
 
     args = ap.parse_args(argv)
+    # parsing takes at most 6 frames per nesting level (a labelled row in
+    # a type), checking and printing fewer
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * MAX_NESTING))
     try:
         args.max_states = _max_states()
         return args.fn(args)

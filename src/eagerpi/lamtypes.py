@@ -296,7 +296,6 @@ class LamChecker:
     def __init__(self, well_typed: bool):
         self.well_typed = well_typed
         self.pending = []  # deferred checks needing a resolved type
-        self.rules = []
 
     def err(self, code, msg):
         raise LamTypeError(code, msg)

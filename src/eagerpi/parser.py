@@ -25,6 +25,12 @@ from . import sessiontypes as T
 from .names import Name, NameSupply
 
 
+# The deepest nesting the parsers accept (prefixes and parentheses around a
+# process, constructors around a type, binders and brackets around a lambda
+# term); `cli.main` sets the recursion limit that this depth needs.
+MAX_NESTING = 1000
+
+
 class ParseError(Exception):
     def __init__(self, message, line=None, col=None):
         self.line, self.col = line, col
@@ -84,6 +90,7 @@ class _Cursor:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -107,6 +114,23 @@ class _Cursor:
         return None
 
 
+def _nesting(parse):
+    """Count each call of a recursive parse function, whose first argument
+    is the cursor or a parser holding it, as one nesting level."""
+    def nested(owner, *args):
+        cur = owner if isinstance(owner, _Cursor) else owner.cur
+        if cur.depth > MAX_NESTING:
+            t = cur.peek()
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             t.line, t.col)
+        cur.depth += 1
+        try:
+            return parse(owner, *args)
+        finally:
+            cur.depth -= 1
+    return nested
+
+
 # ---------------------------------------------------------------------------
 # Session type syntax
 
@@ -124,26 +148,19 @@ def _styp_tensor(cur):
     return left
 
 
+# the constructors written before their components
+_STYP_PREFIX = {tok: cls for cls, tok in T.TOKEN.items()
+                if cls not in (T.Tensor, T.Parr)}
+
+
+@_nesting
 def _styp_atom(cur):
-    if cur.try_take("int", "1"):
-        return T.One()
-    if cur.at("ident", "bot"):
-        cur.take("ident")
-        return T.Bot()
-    if cur.at("ident", "maybe"):
-        cur.take("ident")
-        return T.Maybe(_styp_atom(cur))
-    if cur.at("ident", "expect"):
-        cur.take("ident")
-        return T.ExpectT(_styp_atom(cur))
-    if cur.try_take("?"):
-        return T.Query(_styp_atom(cur))
-    if cur.try_take("!"):
-        return T.Bang(_styp_atom(cur))
-    if cur.try_take("+"):
-        return T.Plus(_styp_row(cur))
-    if cur.try_take("&"):
-        return T.With(_styp_row(cur))
+    cls = _STYP_PREFIX.get(cur.peek().text)
+    if cls is not None:
+        cur.pos += 1
+        if cls in T.ROWS:
+            return cls(_styp_row(cur))
+        return cls(_styp_atom(cur)) if cls.__match_args__ else cls()
     if cur.try_take("("):
         t = parse_session_type(cur)
         cur.take(")")
@@ -176,6 +193,7 @@ def session_type_of(text: str) -> T.SessionType:
 # ---------------------------------------------------------------------------
 # Intersection type syntax
 
+@_nesting
 def parse_strict(cur: _Cursor):
     if cur.at("ident", "unit"):
         cur.take("ident")
@@ -332,6 +350,7 @@ class SpiParser:
         self.cur.take(")")
         return first, second
 
+    @_nesting
     def _atom(self, scope):
         cur = self.cur
         if cur.at("int", "0"):
@@ -538,6 +557,7 @@ class LcParser:
         tau = parse_strict(self.cur)
         self.judgments.append((kind, name, theta, gamma, tau))
 
+    @_nesting
     def _term(self, scope):
         if self.cur.try_take("\\"):
             x = self.cur.take("ident").text

@@ -127,34 +127,21 @@ def type_text(t) -> str:
 
 
 def _ty(t, prec):
-    match t:
-        case T.One():
-            return "1"
-        case T.Bot():
-            return "bot"
-        case T.Tensor(a, b):
-            s = f"{_ty(a, 2)} * {_ty(b, 1)}"
-            return f"({s})" if prec >= 2 else s
-        case T.Parr(a, b):
-            s = f"{_ty(a, 2)} @ {_ty(b, 1)}"
-            return f"({s})" if prec >= 2 else s
-        case T.Plus(branches):
-            inner = ", ".join(f"{k}: {_ty(v, 0)}" for k, v in branches)
-            return f"+{{{inner}}}"
-        case T.With(branches):
-            inner = ", ".join(f"{k}: {_ty(v, 0)}" for k, v in branches)
-            return f"&{{{inner}}}"
-        case T.Query(a):
-            return f"?{_ty(a, 3)}"
-        case T.Bang(a):
-            return f"!{_ty(a, 3)}"
-        case T.Maybe(a):
-            return f"maybe {_ty(a, 3)}"
-        case T.ExpectT(a):
-            return f"expect {_ty(a, 3)}"
-    if t.__class__.__name__ == "TMeta":
-        return f"'{id(t) % 9973}"
-    raise TypeError(f"not a session type: {t!r}")
+    tok = T.TOKEN.get(type(t))
+    if tok is None:
+        if t.__class__.__name__ == "TMeta":
+            return f"'{id(t) % 9973}"
+        raise TypeError(f"not a session type: {t!r}")
+    if type(t) in T.ROWS:
+        inner = ", ".join(f"{k}: {_ty(v, 0)}" for k, v in t.branches)
+        return f"{tok}{{{inner}}}"
+    if isinstance(t, (T.Tensor, T.Parr)):
+        s = f"{_ty(t.first, 2)} {tok} {_ty(t.rest, 1)}"
+        return f"({s})" if prec >= 2 else s
+    if not t.__match_args__:
+        return tok
+    # keywords are spaced from their operand, symbols are not
+    return f"{tok}{' ' * tok.isalpha()}{_ty(t.body, 3)}"
 
 
 def ctx_text(ctx: dict, namer=None) -> str:

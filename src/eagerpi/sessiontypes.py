@@ -3,7 +3,9 @@
 Branch rows are stored as sorted (label, type) tuples so that structural
 equality is syntactic equality. Duality is the usual involution; it swaps
 units, tensor/par, the labeled rows, the availability modalities, and the
-client/server modalities.
+client/server modalities. The tables `DUAL` and `TOKEN` and the helpers
+`parts` and `rebuild` are the only code that knows each constructor's
+shape.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 class SessionType:
     __slots__ = ()
+    __match_args__ = ()  # the component fields; constructors list theirs
 
 
 @dataclass(frozen=True)
@@ -85,28 +88,41 @@ def with_(items) -> With:
     return With(row(items))
 
 
+# One constructor table serves every walk over session types: `DUAL` maps
+# each constructor to its dual, and `parts`/`rebuild` list and rebuild a
+# node's components (a labelled row's entry types, under its labels), so
+# `dual` here and `zonk`, `_occurs`, `_default` and `unify` in `typecheck`
+# need no case per constructor. `TOKEN` is each constructor's token in the
+# concrete syntax, which the parser reads and the printer writes.
+DUAL = {}
+for _a, _b in ((One, Bot), (Tensor, Parr), (Plus, With), (Query, Bang),
+               (Maybe, ExpectT)):
+    DUAL[_a], DUAL[_b] = _b, _a
+TOKEN = {One: "1", Bot: "bot", Tensor: "*", Parr: "@", Plus: "+", With: "&",
+         Query: "?", Bang: "!", Maybe: "maybe", ExpectT: "expect"}
+ROWS = (Plus, With)  # the constructors that hold a labelled row
+
+
+def parts(t) -> list:
+    """The component types of t, in order: the entry types of a labelled
+    row, else the constructor's fields (none for a metavariable)."""
+    if type(t) in ROWS:
+        return [v for _, v in t.branches]
+    return [getattr(t, f) for f in t.__match_args__]
+
+
+def rebuild(t, new_parts, cls=None) -> SessionType:
+    """A node of constructor cls (t's own by default) holding new_parts,
+    under t's labels if t is a labelled row."""
+    if type(t) in ROWS:
+        new_parts = (tuple(zip([k for k, _ in t.branches], new_parts)),)
+    return (cls or type(t))(*new_parts)
+
+
 def dual(t: SessionType) -> SessionType:
-    match t:
-        case One():
-            return Bot()
-        case Bot():
-            return One()
-        case Tensor(a, b):
-            return Parr(dual(a), dual(b))
-        case Parr(a, b):
-            return Tensor(dual(a), dual(b))
-        case Plus(branches):
-            return With(tuple((k, dual(v)) for k, v in branches))
-        case With(branches):
-            return Plus(tuple((k, dual(v)) for k, v in branches))
-        case Query(a):
-            return Bang(dual(a))
-        case Bang(a):
-            return Query(dual(a))
-        case Maybe(a):
-            return ExpectT(dual(a))
-        case ExpectT(a):
-            return Maybe(dual(a))
+    cls = DUAL.get(type(t))
+    if cls is not None:
+        return rebuild(t, [dual(c) for c in parts(t)], cls)
     # metavariables carry their own dual partner
     partner = getattr(t, "partner", None)
     if partner is not None:

@@ -3,6 +3,7 @@
 import json
 
 from eagerpi.cli import main
+from eagerpi.parser import MAX_NESTING
 from tests.conftest import corpus_path
 
 
@@ -132,11 +133,20 @@ def _cli(*argv, env=None):
 
 def test_deep_input_exits_2_without_traceback(tmp_path):
     deep = tmp_path / "deep.spi"
-    deep.write_text("def D = " + "x#a. " * 400 + "0\n")
+    deep.write_text("def D = " + "x#a. " * (MAX_NESTING + 1) + "0\n")
     out = _cli("check", str(deep))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_deep_well_typed_input_checks_and_prints(tmp_path):
+    deep = tmp_path / "deep.spi"
+    deep.write_text("def D = " + "x#a. " * 400 + "0\n")
+    out = _cli("check", str(deep))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("D: ok |- x: +{a: +{a: ")
+    assert out.stdout.count("+{a: ") == 400
 
 
 def test_negative_bound_exits_2():

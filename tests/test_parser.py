@@ -1,11 +1,13 @@
 """Concrete syntax: bit-exact prints, round trips, error positions."""
 
+import sys
+
 import pytest
 
 from eagerpi import lam as L
 from eagerpi import process as P
-from eagerpi.parser import (ParseError, parse_lc, parse_spi, session_type_of,
-                            strict_type_of)
+from eagerpi.parser import (MAX_NESTING, ParseError, parse_lc, parse_spi,
+                            session_type_of, strict_type_of)
 from eagerpi.printer import lam_text, ltype_text, process_text, type_text
 from eagerpi.process import canonicalize, term_key
 
@@ -128,3 +130,20 @@ def test_duplicate_definition_rejected():
 def test_unknown_reference_rejected():
     with pytest.raises(ParseError):
         parse_spi("def A = Missing")
+
+
+@pytest.mark.parametrize("parse, nest", [
+    (parse_spi, lambda n: "def T = " + "x#a. " * n + "0"),
+    (parse_spi, lambda n: "def T = " + "(" * n + "0" + ")" * n),
+    (session_type_of, lambda n: "?" * n + "1"),
+    (parse_lc, lambda n: "def T = " + "\\x. " * n + "OK"),
+])
+def test_nesting_limit(parse, nest):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 8 * MAX_NESTING))
+    try:
+        parse(nest(MAX_NESTING))
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(nest(MAX_NESTING + 1))
+    finally:
+        sys.setrecursionlimit(limit)
