@@ -322,8 +322,8 @@ def main(argv=None):
     co.set_defaults(fn=cmd_correspond)
 
     args = ap.parse_args(argv)
-    # parsing takes at most 6 frames per nesting level (a labelled row in
-    # a type), checking and printing fewer
+    # parsing takes at most 5 frames per nesting level (a labelled row or
+    # a tensor in a type), checking and printing at most 3
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * MAX_NESTING))
     try:
         args.max_states = _max_states()

@@ -3,9 +3,9 @@
 Branch rows are stored as sorted (label, type) tuples so that structural
 equality is syntactic equality. Duality is the usual involution; it swaps
 units, tensor/par, the labeled rows, the availability modalities, and the
-client/server modalities. The tables `DUAL` and `TOKEN` and the helpers
-`parts` and `rebuild` are the only code that knows each constructor's
-shape.
+client/server modalities. Walks over session types go through the tables
+`DUAL` and `TOKEN` and the helpers `parts` and `rebuild` below, so none
+needs a case per constructor.
 """
 
 from __future__ import annotations

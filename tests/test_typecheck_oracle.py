@@ -29,13 +29,20 @@ from tests.conftest import load_spi
 # the package exports the function `typecheck` under the module's name
 new = importlib.import_module("eagerpi.typecheck")
 
-ROWS = """
+ROW_SCRIPT = """
 def SameLabel = x#a. x#a. 0 ++ x#a. x#b. 0
 def TwoLabels = x#a. 0 ++ x#b. 0
 def Offered = new x (x#a. 0 | x&{a: 0, b: 0})
 def Closed = x#a. x#b. 0 ++ x#a. x#b. close x
 def Forwarded = [x <-> y] | x#a. 0
 def Clash = x#a. close x ++ x#a. wait x. 0
+def Unoffered = new x (x#a. close x ++ x#b. close x | x&{a: wait x. 0})
+def Nested = new x (x#a. x#a. close x | x&{a: x#a. wait x. 0})
+def ThroughCut = new y (new x (x#a. [x<->y] | x&{a: [x<->w]}) | y#b. close y)
+def ForwardedSums = new x ([x<->y] | x#a. x#a. 0) ++ new x ([x<->y] | x#b. 0)
+def ThreeWays = x#a. x#a. close x ++ x#a. x#b. close x ++ x#b. close x
+def Received = x?(y). y#a. close y ++ x?(y). y#b. close y
+def Sent = x!(y)(y#a. close y | close x) ++ x!(y)(y#b. close y | close x)
 """
 
 # (reference code, library code) for a row clash inside `++`
@@ -100,7 +107,7 @@ def generated_cases():
 
 
 def row_cases():
-    src = parse_spi(ROWS)
+    src = parse_spi(ROW_SCRIPT)
     for name in src.order:
         yield from judgments(f"rows/{name}", src.defs[name][0], None)
 
