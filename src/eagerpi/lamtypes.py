@@ -10,8 +10,9 @@ prefix-wise, with a possibly empty remainder.
 Checking is syntax-directed with metavariables for the positions the term
 leaves open (arrow components, unrestricted list types); constraints that
 need a resolved arrow (applications, embraces) are deferred and solved to
-a fixpoint, then residual metavariables default to unit and everything is
-re-verified ground.
+a fixpoint. A forced round then commits the metavariables they still wait
+on (arrows, embraced and indexed lists); a constraint left over is an error,
+and metavariables nothing constrains stay open.
 """
 
 from __future__ import annotations
@@ -155,29 +156,6 @@ def zonk_list(l):
     if isinstance(l, MetaList):
         return l
     return tuple(zonk(t) for t in l)
-
-
-def default(t):
-    t = resolve(t)
-    if isinstance(t, MetaS):
-        return UnitT()
-    if isinstance(t, MetaList):
-        return (UnitT(),)
-    match t:
-        case ArrowT(m, l, g):
-            return ArrowT(default_mult(m), default_list(l), default(g))
-    return t
-
-
-def default_mult(m):
-    return Mult(None if m.count == 0 else default(m.base), m.count)
-
-
-def default_list(l):
-    l = resolve(l)
-    if isinstance(l, MetaList):
-        return (UnitT(),)
-    return tuple(default(t) for t in l)
 
 
 def show(t):
@@ -396,7 +374,7 @@ class LamChecker:
                              f"for {len(vs)} variables")
                 base = MetaS()
                 for it in items:
-                    self._check_or_defer(it, base, env, theta)
+                    self._check(it, base, env, theta)
                 env2 = dict(env)
                 for x in vs:
                     env2[x] = ("strict", base)
@@ -410,9 +388,6 @@ class LamChecker:
                 self._check(b, tau, env, theta2)
             case _:
                 raise TypeError(f"not a term: {m!r}")
-
-    def _check_or_defer(self, m, tau, env, theta):
-        self._check(m, tau, env, theta)
 
     def _synth(self, m, env, theta):
         match m:
@@ -437,7 +412,7 @@ class LamChecker:
     def _synth_bag(self, bg, env, theta):
         base = MetaS()
         for it in bg.linear:
-            self._check_or_defer(it, base, env, theta)
+            self._check(it, base, env, theta)
         eps = self._synth_slots(bg.unr, theta)
         return base, len(bg.linear), eps
 

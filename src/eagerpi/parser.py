@@ -199,29 +199,47 @@ def parse_strict(cur: _Cursor):
         cur.take("ident")
         return LT.UnitT()
     if cur.try_take("("):
-        save = cur.pos
-        try:
-            mult = parse_mult(cur)
-            cur.take(",")
-            lst = parse_list_type(cur)
-            cur.take(")")
-            cur.take("->")
-            return LT.ArrowT(mult, lst, parse_strict(cur))
-        except ParseError:
-            cur.pos = save
+        if not _arrow_ahead(cur):
             t = parse_strict(cur)
             cur.take(")")
             return t
+        mult = parse_mult(cur)
+        cur.take(",")
+        lst = parse_list_type(cur)
+        cur.take(")")
+        cur.take("->")
+        return LT.ArrowT(mult, lst, parse_strict(cur))
     t = cur.peek()
     raise ParseError(f"expected a strict type, found {t.text!r}",
                      t.line, t.col)
 
 
-def parse_mult(cur: _Cursor) -> LT.Mult:
+def _arrow_ahead(cur: _Cursor) -> bool:
+    """Whether the group after a `(` is an arrow's `(mult, list)`: a `,`
+    at depth 0 before the matching `)`. Deciding up front parses each group
+    once, where backtracking cost a factor per level of nesting."""
+    depth = 0
+    for t in cur.toks[cur.pos:]:
+        if t.kind == "(":
+            depth += 1
+        elif t.kind == ")":
+            if depth == 0:
+                return False
+            depth -= 1
+        elif t.kind == "," and depth == 0:
+            return True
+    return False
+
+
+def parse_mult(cur: _Cursor, bare: bool = False):
+    """A multiplicity, `w` or `strict ^ k`. With `bare`, a strict type not
+    followed by `^ k` is returned as it is."""
     if cur.at("ident", "w"):
         cur.take("ident")
         return LT.OMEGA
     base = parse_strict(cur)
+    if bare and not cur.at("^"):
+        return base
     cur.take("^")
     k = int(cur.take("int").text)
     if k == 0:
@@ -544,12 +562,7 @@ class LcParser:
                 if bang:
                     theta[var] = parse_list_type(self.cur)
                 else:
-                    save = self.cur.pos
-                    try:
-                        gamma[var] = parse_mult(self.cur)
-                    except ParseError:
-                        self.cur.pos = save
-                        gamma[var] = parse_strict(self.cur)
+                    gamma[var] = parse_mult(self.cur, bare=True)
                 if not self.cur.try_take(","):
                     break
         self.cur.take("]")

@@ -71,16 +71,16 @@ def _proc(p, nm):
         case P.Forward(x, y):
             return f"[{nm[x]}<->{nm[y]}]"
         case P.Par(_, _):
-            return "(" + " | ".join(_sum_group(q, nm) for q in P.par_parts(p)) + ")"
+            return "(" + " | ".join(_group(q, nm) for q in P.par_parts(p)) + ")"
         case P.NDChoice(_, _):
             return " ++ ".join(_group(q, nm) for q in P.sum_parts(p))
         case P.Restrict(x, l, r):
             b = nm.bind(x)
-            return f"new {b} ({_sum_group(l, nm)} | {_sum_group(r, nm)})"
+            return f"new {b} ({_group(l, nm)} | {_group(r, nm)})"
         case P.Output(x, y, pl, c):
             s = nm[x]
             b = nm.bind(y)
-            return f"{s}!({b})({_sum_group(pl, nm)} | {_sum_group(c, nm)})"
+            return f"{s}!({b})({_group(pl, nm)} | {_group(c, nm)})"
         case P.Input(x, y, c):
             s = nm[x]
             b = nm.bind(y)
@@ -110,13 +110,6 @@ def _proc(p, nm):
             ws = ",".join(sorted(nm[w] for w in deps))
             return f"expect {nm[x]} [{ws}]. {_group(c, nm)}"
     raise TypeError(f"not a process: {p!r}")
-
-
-def _sum_group(p, nm):
-    text = _proc(p, nm)
-    if isinstance(p, P.NDChoice):
-        return f"({text})"
-    return text
 
 
 # ---------------------------------------------------------------------------

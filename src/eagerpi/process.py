@@ -17,7 +17,9 @@ Structural identity of processes is alpha-invariant: `term_key` is the key
 of a process's canonical form, which the canonical walk computes with de
 Bruijn levels for bound names and display strings for free names, and
 every set-like operation (canonical sorting, reduct deduplication, state
-spaces) keys on it.
+spaces) keys on it. `scope_normalize` adds the scope axioms for state
+identity: one unkeyed extrusion pass, then one canonical walk in scope
+mode, which takes the least-keyed restriction swap at every restriction.
 
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
@@ -451,10 +453,13 @@ def _walk(p: Process, env: dict, depth: int, swap: bool):
     `tests/reference_canon.term_key` spells the format out and checks it.
 
     A parent sorts, deduplicates and orients its children by the keys they
-    returned, so no subtree is keyed twice. With `swap`, every restriction
-    also takes the least-keyed instance of the nested-restriction swap
-    axiom. A node already in that form is returned as it is, and its key
-    is memoised on it for the context it was walked in.
+    returned, so no subtree is keyed twice. With `swap` (scope mode) p must
+    be extruded, and every restriction also takes the least-keyed instance
+    of the swap axiom. A winning candidate, or a restriction whose side lost
+    a use of its name to a collected server, is extruded and walked again
+    in scope mode, so the result needs no further pass. A node already in
+    its form is returned as it is, and its key is memoised on it for the
+    context it was walked in.
     """
     if depth == 0 and not swap and p._key is not None:
         return p, p._key
@@ -514,16 +519,30 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
             for srv, other in ((cl, cr), (cr, cl)):
                 if isinstance(srv, Server) and srv.x == x \
                         and x not in free_names(other):
-                    return _walk(other, env, depth, False)
+                    return _walk(other, env, depth, swap)
+            # a server collected in a side took a part's last use of x: the
+            # part moves out (once: walked parts hold no more garbage)
+            if swap and (cl is not l or cr is not r) and any(
+                    x not in free_names(c) and not isinstance(c, Inaction)
+                    for side in (cl, cr) for c in par_parts(side)):
+                return _walk(_extrude(Restrict(x, cl, cr)), env, depth, True)
             if kr < kl:
                 cl, kl, cr, kr = cr, kr, cl, kl
             node = p if cl is l and cr is r else Restrict(x, cl, cr)
             key = ("res", kl, kr)
             if swap:
+                best = None
                 for cand in _swap_candidates(node):
                     c, k = _walk(cand, env, depth, False)
                     if k < key:
-                        node, key = c, k
+                        best, key = c, k
+                if best is not None:
+                    # Memoised subtrees come back unwalked, so this keys
+                    # only the spine the swap built. It stops: it starts on
+                    # a strict key decrease, and on every oracle input it
+                    # returned a key no higher than best's, so keys here
+                    # fall over finitely many scope arrangements.
+                    return _walk(_extrude(best), env, depth, True)
             return node, key
         case Output(x, y, pl, c):
             env2 = {**env, y: depth}
@@ -540,7 +559,7 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
             items = []
             for q in par_parts(p):
                 cq, kq = _walk(q, env, depth, swap)
-                if isinstance(cq, Par):   # a collected server's survivor
+                if isinstance(cq, Par):   # a survivor or an extruded swap
                     items.extend(zip(par_parts(cq), kq[1]))
                 elif not isinstance(cq, Inaction):
                     items.append((cq, kq))
@@ -632,21 +651,18 @@ def _swap_candidates(p: Restrict):
                 yield Restrict(y, Restrict(x, inner_keep, b), inner_move)
 
 
-def scope_normalize(p: Process, limit: int = 50) -> Process:
+def scope_normalize(p: Process) -> Process:
     """Deterministic representative of a process modulo the scope axioms,
-    used as state identity in reduction graphs: extrude maximally, then
-    reorder permutable nested restrictions towards the least key. Every
-    pass applies only structural-congruence axiom instances, so equal
-    normal forms imply congruent processes. The result is canonical, and
-    each pass's key comes out of its walk, so the fixpoint test is free."""
-    p, key = _canonical(p)
-    for _ in range(limit):
-        p, k = _walk(_extrude(p), {}, 0, True)
-        p._key = k
-        if k == key:
-            break
-        key = k
-    return p
+    used as state identity in reduction graphs: one extrusion pass, then
+    one walk in scope mode. Only structural-congruence axiom instances are
+    applied, so equal normal forms imply congruent processes. The result
+    is canonical and carries its key. `_extrude` stays an unkeyed pre-pass:
+    folded into the keyed walk, it keys each extruded part again at every
+    level the part passes through, over ten times slower on a chain of
+    nested restrictions."""
+    c, k = _walk(_extrude(p), {}, 0, True)
+    c._key = k
+    return c
 
 
 # ---------------------------------------------------------------------------

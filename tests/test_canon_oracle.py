@@ -3,19 +3,27 @@ against the two-walk canonicalizer it replaced (`reference_canon.py`).
 
 On every corpus process, and on every raw one-step target (before
 normalization) of every state explored from the corpus, the `corr.lc`
-translations and ex32's `M`, the two must give equal keys for
-`scope_normalize` and for `canonicalize`, and equal free-name sets.
+translations, ex32's `M` and a generated corpus, the two must give equal
+keys for `scope_normalize` and for `canonicalize`, and equal free-name
+sets. So must a seeded sample of one- and two-step `scope_rewrites` of
+explored states, and a restriction chain whose every scope can move.
 `term_key` of a raw target must be the reference key of its canonical
 form, and must leave nothing on the target that changes a later
 `canonicalize` of it.
 """
 
+import random
+
 import pytest
 
 from eagerpi.eager import _local_steps
 from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.gen import generate_corpus
+from eagerpi.names import NameSupply
 from eagerpi.printer import process_text
-from eagerpi.process import canonicalize, free_names, scope_normalize, term_key
+from eagerpi.process import (Close, Inaction, Input, NDChoice, Par, Restrict,
+                             Server, Wait, canonicalize, free_names, par_all,
+                             scope_normalize, scope_rewrites, term_key)
 from tests import reference_canon as ref
 from tests.conftest import _fresh, assert_fixpoint, load_lc, load_spi
 
@@ -38,35 +46,82 @@ def _translations(file, names):
     return [_translate_fresh(defs[n][0]) for n in names]
 
 
-SOURCES = {
-    "spi-corpus": (_corpus, 64),
-    "corr-closed": (lambda: _translations("corr.lc", CLOSED), 30),
-    "corr-open": (lambda: _translations("corr.lc", OPEN), 8),
-    "ex32-M": (lambda: _translations("ex32.lc", ("M",)), 30),
-}
+def _chain(n, seed=None):
+    """new x1 (close x1 | new x2 (close x2 | ... new xn (close xn |
+    wait x1.0 | ... | wait xn.0))), whose scope normal form is n parallel
+    cuts, reached only by swaps and extrusions at every level. With
+    `seed`, the waits come in a shuffled order."""
+    s = NameSupply(1)
+    xs = [s.fresh(f"x{i}") for i in range(1, n + 1)]
+    waits = [Wait(x, Inaction()) for x in xs]
+    if seed is not None:
+        random.Random(seed).shuffle(waits)
+    p = Restrict(xs[-1], Close(xs[-1]), par_all(waits))
+    for x in reversed(xs[:-1]):
+        p = Restrict(x, Close(x), p)
+    return p
+
+
+def _unique(procs):
+    """One process per reference key: raw processes with equal keys differ
+    only in the order of parallel and sum parts, which both canonicalizers
+    sort away before anything else."""
+    seen = set()
+    for t in procs:
+        k = ref.term_key(t)
+        if k not in seen:
+            seen.add(k)
+            yield t
 
 
 def _raw_targets(roots, bound):
-    """The roots and the raw targets of every step of every explored state,
-    one per reference key: raw processes with equal keys differ only in the
-    order of parallel and sum parts, which both canonicalizers sort away
-    before anything else."""
-    seen = set()
+    """The roots and the raw targets of every step of every explored
+    state."""
     for root in roots:
         nodes, _, _ = explore(root, bound)
-        targets = [t for n in nodes.values() for _, t in _local_steps(n.state)]
-        for t in [root] + targets:
-            k = ref.term_key(t)
-            if k not in seen:
-                seen.add(k)
+        yield root
+        for n in nodes.values():
+            for _, t in _local_steps(n.state):
                 yield t
+
+
+def _rewrites(roots, bound, every):
+    """Two seeded one-step `scope_rewrites` of every `every`-th explored
+    state, each followed by one seeded rewrite of it."""
+    rng = random.Random(0)
+    for root in roots:
+        nodes, _, _ = explore(root, bound)
+        for n in list(nodes.values())[::every]:
+            ones = list(scope_rewrites(n.state))
+            for r in rng.sample(ones, min(2, len(ones))):
+                yield r
+                twos = list(scope_rewrites(r))
+                if twos:
+                    yield rng.choice(twos)
+
+
+# each source builds its inputs; the chain's two orders share a reference
+# key, so it alone is not deduplicated
+SOURCES = {
+    "spi-corpus": lambda: _unique(_raw_targets(_corpus(), 64)),
+    "corr-closed": lambda: _unique(
+        _raw_targets(_translations("corr.lc", CLOSED), 30)),
+    "corr-open": lambda: _unique(
+        _raw_targets(_translations("corr.lc", OPEN), 8)),
+    "ex32-M": lambda: _unique(
+        _raw_targets(_translations("ex32.lc", ("M",)), 30)),
+    "generated": lambda: _unique(_raw_targets(generate_corpus(3, 40), 12)),
+    "rewrites-spi": lambda: _unique(_rewrites(_corpus(), 64, 4)),
+    "rewrites-corr": lambda: _unique(
+        _rewrites(_translations("corr.lc", CLOSED), 30, 8)),
+    "chains": lambda: [_chain(80), _chain(80, seed=1)],
+}
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_keys_match_reference(source):
-    build, bound = SOURCES[source]
     checked = 0
-    for t in _raw_targets(build(), bound):
+    for t in SOURCES[source]():
         assert term_key(scope_normalize(t)) == \
             ref.term_key(ref.scope_normalize(t))
         assert term_key(canonicalize(t)) == ref.term_key(ref.canonicalize(t))
@@ -99,15 +154,16 @@ def _collected_server_cases():
     """Processes where collecting an unused server changes the shape above
     it: the survivor is a parallel or a sum inside a parallel or a sum, it
     holds binders that move up one level, or a parallel or sum is left
-    with one part."""
-    from eagerpi.names import NameSupply
-    from eagerpi.process import (Close, Inaction, Input, NDChoice, Par,
-                                 Restrict, Server, Wait)
+    with one part. In the last three, the collected server held the only
+    use of an enclosing binder in a part, which must then be extruded."""
     s = NameSupply(1)
     a, b, c, x, y, v, w = (s.fresh(n) for n in "abcxyvw")
 
     def garbage(survivor):
         return Restrict(x, Server(x, w, Close(w)), survivor)
+
+    def holding(body):
+        return Restrict(x, Server(x, w, body), Inaction())
 
     return [
         Par(garbage(Par(Close(a), Close(b))), Close(c)),
@@ -119,6 +175,11 @@ def _collected_server_cases():
         Input(a, y, Par(garbage(Close(y)), Inaction())),
         Input(a, y, NDChoice(Close(y), garbage(Close(y)))),
         Input(a, y, NDChoice(garbage(Par(Close(y), Close(a))), Close(b))),
+        Restrict(y, Wait(a, holding(Close(y))), Close(y)),
+        Restrict(y, Par(Wait(a, holding(Close(y))), Close(y)),
+                 Wait(y, Close(b))),
+        Restrict(v, Close(v), Restrict(y, Par(Wait(a, holding(Par(
+            Close(y), Close(v)))), Close(y)), Wait(y, Close(v)))),
     ]
 
 

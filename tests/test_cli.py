@@ -149,6 +149,25 @@ def test_deep_well_typed_input_checks_and_prints(tmp_path):
     assert out.stdout.count("+{a: ") == 400
 
 
+def test_nested_strict_types_check_quickly(tmp_path):
+    """A judgment whose types sit in 40 parentheses, in Γ and as the
+    conclusion, checks in well under the time exponential backtracking
+    would take."""
+    import time
+    nest = "(" * 40 + "(unit^1, unit) -> unit" + ")" * 40
+    lc = tmp_path / "nested.lc"
+    lc.write_text("def I = \\x. x1 [x1 <- x]\n"
+                  "def A = y <I>\n"
+                  f"wt I [] : {nest}\n"
+                  f"wt A [ y: {nest} ] : unit\n"
+                  f"wt A [ y: {nest} ^ 1 ] : unit\n")
+    start = time.perf_counter()
+    out = _cli("check", str(lc))
+    assert time.perf_counter() - start < 2
+    assert out.returncode in (0, 1), out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_negative_bound_exits_2():
     out = _cli("run", corpus_path("movie.spi"), "Composition", "--bound", "-3")
     assert out.returncode == 2

@@ -101,9 +101,12 @@ def test_session_type_syntax():
 
 
 def test_strict_type_syntax():
+    # each group is parsed once; backtracking cost about 4x per level
     for text in ("unit", "(unit^1, unit) -> unit",
                  "(w, unit) -> unit",
-                 "((unit^1, unit) -> unit ^ 2, unit . unit) -> unit"):
+                 "((unit^1, unit) -> unit ^ 2, unit . unit) -> unit",
+                 "(" * 40 + "unit" + ")" * 40,
+                 "(" * 40 + "(unit^1, unit) -> unit" + ")" * 40):
         t = strict_type_of(text)
         assert strict_type_of(ltype_text(t)) == t
 
