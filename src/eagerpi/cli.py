@@ -138,6 +138,24 @@ def _def(src, name):
     return src.defs[name][0]
 
 
+def _records(g):
+    """A trace's records, its nodes numbered in discovery order: node,
+    parent (the first node found to step to it), rule, cut, term, depth
+    and whether the bound stopped it with steps left."""
+    ids = {k: i for i, k in enumerate(g.nodes)}
+    parents = {}
+    for n in g.nodes.values():
+        for label, child in n.successors:
+            parents.setdefault(child, (ids[n.key], label))
+    for k, n in g.nodes.items():
+        parent, label = parents.get(k, (None, ""))
+        rule, _, cut = label.partition("@")
+        yield {"node": ids[k], "parent": parent, "rule": rule, "cut": cut,
+               "term": process_text(n.state, canonical=True),
+               "depth": n.depth,
+               "bound_exhausted": n.has_steps and not n.expanded}
+
+
 def cmd_step(args):
     kind, src = _load(args.file)
     if kind == "lc":
@@ -161,13 +179,16 @@ def cmd_step(args):
             print(process_text(p, canonical=True))
             for i, st in enumerate(steps):
                 print(f"  [{i}] {st.redex.rule} on {st.redex.cut.display}")
-            return int(input("step> "))
-        tr = trace(proc, args.bound, "interactive", chooser=chooser,
-                   max_states=args.max_states)
+            try:
+                return int(input("step> "))
+            except (EOFError, ValueError) as e:
+                raise UsageError(f"no step chosen: {e}") from None
+        g = trace(proc, args.bound, "interactive", chooser=chooser,
+                  max_states=args.max_states)
     else:
-        tr = trace(proc, args.bound, "random", seed=args.seed,
-                   max_states=args.max_states)
-    for rec in tr.records():
+        g = trace(proc, args.bound, "random", seed=args.seed,
+                  max_states=args.max_states)
+    for rec in _records(g):
         _emit(args, rec,
               f"{rec['node']:>4} <- {str(rec['parent']):>4} "
               f"{rec['rule']:<10} {rec['term']}")
@@ -185,22 +206,16 @@ def _warn_if_cut(args, cause):
 
 def cmd_run(args):
     kind, src = _load(args.file)
+    term = _def(src, args.name)
     if kind == "lc":
-        term = _def(src, args.name)
-        nodes, _, cause, _ = L.reduction_graph(term, args.bound,
-                                               args.max_states)
-        for node in nodes.values():
-            if node.expanded and not node.successors:
-                _emit(args, {"normal": lam_text(node.state)},
-                      lam_text(node.state))
-        _warn_if_cut(args, cause)
-        return 0
-    proc = _def(src, args.name)
-    tr = trace(proc, args.bound, max_states=args.max_states)
-    for node in tr.leaves():
-        _emit(args, {"normal": process_text(node.process, canonical=True)},
-              process_text(node.process, canonical=True))
-    _warn_if_cut(args, tr.cause)
+        g = L.reduction_graph(term, args.bound, args.max_states)
+    else:
+        g = trace(term, args.bound, max_states=args.max_states)
+    for node in g.leaves():
+        text = lam_text(node.state) if kind == "lc" else \
+            process_text(node.state, canonical=True)
+        _emit(args, {"normal": text}, text)
+    _warn_if_cut(args, g.cause)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""The eager reduction semantics: exhaustive one-step reduction and traces.
+"""The eager reduction semantics: exhaustive one-step reduction, and traces
+that return the reduction graph (`graph.Graph`).
 
 Each synchronization rule matches a cut `new x (L | R)` whose two sides
 decompose through ND-contexts into prefixed processes on x. The target is
@@ -10,7 +11,7 @@ the other branches (congruence rule for sums).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import graph
@@ -135,72 +136,7 @@ def step_all(p: Process) -> list:
 
 def normal_forms(p: Process, bound: int = 64, max_states: int = 20000):
     """All canonical normal forms reachable from p within `bound` steps."""
-    return [n.process for n in trace(p, bound, max_states=max_states).leaves()]
-
-
-@dataclass(eq=False)
-class TraceNode:
-    node_id: int
-    process: Process
-    depth: int
-    expanded: bool = False
-    bound_exhausted: bool = False
-    successors: list = field(default_factory=list)  # (rule, child_id)
-
-
-@dataclass(eq=False)
-class Trace:
-    root: int
-    nodes: dict  # node_id -> TraceNode
-    cause: str = "none"  # none | depth | states: what cut the search
-
-    @property
-    def truncated(self) -> bool:
-        return self.cause != "none"
-
-    def leaves(self):
-        return [n for n in self.nodes.values()
-                if n.expanded and not n.successors]
-
-    def at_depth(self, d: int):
-        return [n for n in self.nodes.values() if n.depth == d]
-
-    def maximal_paths(self, limit: int = 100000):
-        """Root-to-leaf rule-tag paths (unexpanded frontier nodes count as
-        leaves and are flagged)."""
-        paths = []
-
-        def go(nid, acc):
-            if len(paths) >= limit:
-                return
-            node = self.nodes[nid]
-            if not node.successors:
-                paths.append((tuple(acc), node))
-                return
-            for rule, child in node.successors:
-                go(child, acc + [rule])
-
-        go(self.root, [])
-        return paths
-
-    def records(self):
-        """Line-delimited trace records: (node, parent, rule, cut, text)."""
-        from .printer import process_text
-        recs = []
-        parents = {}
-        for n in self.nodes.values():
-            for rule, child in n.successors:
-                parents.setdefault(child, (n.node_id, rule))
-        for nid in sorted(self.nodes):
-            n = self.nodes[nid]
-            parent, rule = parents.get(nid, (None, ""))
-            cut = rule.split("@")[-1] if "@" in rule else ""
-            tag = rule.split("@")[0]
-            recs.append({"node": nid, "parent": parent, "rule": tag,
-                         "cut": cut, "term": process_text(n.process, canonical=True),
-                         "depth": n.depth,
-                         "bound_exhausted": n.bound_exhausted})
-        return recs
+    return [n.state for n in trace(p, bound, max_states=max_states).leaves()]
 
 
 def _label(st: ReductionStep) -> str:
@@ -209,43 +145,40 @@ def _label(st: ReductionStep) -> str:
 
 def trace(p: Process, bound: int, strategy: str = "exhaustive",
           seed: int = 0, max_states: int = 20000,
-          chooser: Optional[Callable] = None) -> Trace:
-    """Reduction tree to depth `bound` with nodes deduplicated by canonical
-    form. Strategies: exhaustive (the reduction graph of `graph.explore`,
-    so a node's depth is its least distance from the root), random (seeded
-    single path), interactive (chooser picks a step index at each node)."""
+          chooser: Optional[Callable] = None) -> graph.Graph:
+    """The reduction graph of p to depth `bound`, nodes keyed by
+    `term_key` and edges labelled `rule@cut`. Strategies: exhaustive (the
+    graph of `graph.explore`, so a node's depth is its least distance from
+    the root), random (seeded single path), interactive (chooser picks a
+    step index at each node). A path's nodes are expanded where it went
+    on, and keep their first depth when it passes again; its last node is
+    unexpanded when it stops at the bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
-        graph_nodes, _, cause, _ = graph.explore(
+        return graph.explore(
             cp, lambda q: [(_label(st), st.target) for st in step_all(q)],
             term_key, bound, max_states)
-        ids = {k: i for i, k in enumerate(graph_nodes)}
-        nodes = {i: TraceNode(i, n.state, n.depth, n.expanded,
-                              not n.expanded and n.has_steps,
-                              [(rule, ids[k]) for rule, k in n.successors])
-                 for i, n in enumerate(graph_nodes.values())}
-        return Trace(0, nodes, cause)
-    nodes = {0: TraceNode(0, cp, 0)}
-    index = {term_key(cp): 0}
+    root = term_key(cp)
+    node = graph.Node(root, cp, 0)
+    nodes = {root: node}
     rng = random.Random(seed)
-    node = nodes[0]
     for _ in range(bound):
-        steps = step_all(node.process)
-        node.expanded = True
+        steps = step_all(node.state)
+        node.expanded, node.has_steps = True, bool(steps)
         if not steps:
             break
         if strategy == "random":
             st = rng.choice(sorted(steps, key=lambda s: (s.redex.rule, term_key(s.target))))
         elif strategy == "interactive":
-            st = steps[chooser(node.process, steps) % len(steps)]
+            st = steps[chooser(node.state, steps) % len(steps)]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         k = term_key(st.target)
-        if k not in index:
-            index[k] = len(nodes)
-            nodes[index[k]] = TraceNode(index[k], st.target, node.depth + 1)
-        node.successors.append((_label(st), index[k]))
-        node = nodes[index[k]]
+        if k not in nodes:
+            nodes[k] = graph.Node(k, st.target, node.depth + 1)
+        node.successors.append((_label(st), k))
+        node = nodes[k]
     else:
-        node.bound_exhausted = bool(step_all(node.process))
-    return Trace(0, nodes, "depth" if node.bound_exhausted else "none")
+        node.expanded, node.has_steps = False, bool(step_all(node.state))
+    cut = node.has_steps and not node.expanded
+    return graph.Graph(nodes, root, "depth" if cut else "none")

@@ -194,8 +194,8 @@ def _graph(p: Process, depth: int, max_states: int, goal=None, step=_steps):
 def explore(p: Process, depth: int, max_states: int = 6000, step=_steps):
     """Canonical state graph to the given depth; returns (nodes by key,
     root key, truncated flag). `step` gives a state's [(rule, target)]."""
-    nodes, root, cause, _ = _graph(p, depth, max_states, step=step)
-    return nodes, root, cause != "none"
+    g = _graph(p, depth, max_states, step=step)
+    return g.nodes, g.root, g.truncated
 
 
 def _cause(nodes, root, truncated, max_states) -> str:
@@ -334,8 +334,8 @@ def _witness(a, b, gp, gq, sigs, reason, limit=64):
 
 def succeeds_pi(p: Process, bound: int = 64, max_states: int = 6000):
     """(success reached, bound exhausted while undecided)."""
-    _, _, cause, goal = _graph(p, bound, max_states, has_unguarded_success)
-    return goal is not None, cause != "none"
+    g = _graph(p, bound, max_states, has_unguarded_success)
+    return g.goal is not None, g.truncated
 
 
 # ---------------------------------------------------------------------------

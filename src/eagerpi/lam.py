@@ -10,8 +10,8 @@ intermediate substitution.
 
 Variables reuse the unique-id Name type; binders are freshened whenever a
 rule copies a term, so fetching never captures. `BINDING` declares what
-each constructor binds, and free variables, renaming and freshening are
-derived from it.
+each constructor binds, and free variables, renaming, freshening and the
+linearity check of `lamtypes` are derived from it.
 
 State identity is `lam_key`: terms are keyed modulo alpha-renaming and
 modulo the order of linear bags and of binder tuples, since a linear bag
@@ -548,17 +548,17 @@ def reduction_graph(m, bound: int, max_states: int = 20000, goal=None):
 def reachable(m, bound: int, max_states: int = 20000):
     """Terms reachable within `bound` steps, one per `lam_key` class;
     returns (list of terms, truncated flag)."""
-    nodes, _, cause, _ = reduction_graph(m, bound, max_states)
-    return [n.state for n in nodes.values()], cause != "none"
+    g = reduction_graph(m, bound, max_states)
+    return [n.state for n in g.nodes.values()], g.truncated
 
 
 def succeeds(m, bound: int = 64, max_states: int = 20000):
     """True iff some reduction sequence within `bound` steps reaches a term
     whose head is the success constant; second component flags a bound or
     the state cap exhausted while still undecided."""
-    _, _, cause, goal = reduction_graph(
-        m, bound, max_states, lambda t: isinstance(head(t), SuccessT))
-    return goal is not None, cause != "none"
+    g = reduction_graph(m, bound, max_states,
+                        lambda t: isinstance(head(t), SuccessT))
+    return g.goal is not None, g.truncated
 
 
 # ---------------------------------------------------------------------------

@@ -167,88 +167,52 @@ def show(t):
 
 
 # ---------------------------------------------------------------------------
-# Occurrence pre-pass: linearity is purely structural
+# Occurrence pre-pass: linearity is purely structural, read off `L.BINDING`
+
+# the binders whose variables must each occur exactly once in the body
+_ONCE = {
+    L.Abs: "abstraction parameter {} must be shared exactly once",
+    L.Sharing: "shared alias {} must occur exactly once",
+    L.InterSub: "substituted variable {} must occur exactly once",
+    L.LinSub: "substitution variable {} must occur exactly once",
+}
+# the subterm fields copied on use (`Bag.unr`, `UnrSub.slots`), whose
+# terms may hold no linear variable
+_UNRESTRICTED = ("unr", "slots")
+
 
 def _occ(m, counts):
-    match m:
-        case L.LinVar(v):
-            counts[v] = counts.get(v, 0) + 1
-        case L.UnrVar(_, _) | L.SuccessT():
-            pass
-        case L.Fail(vs):
-            for v in vs:
+    """Add the linear occurrences of m's free variables to `counts`: the
+    body's first (its bound variables taken out), then the other subterms',
+    then m's own, where x[i] does not count."""
+    row = L.BINDING.get(type(m))
+    if row is None:
+        raise TypeError(f"not a term: {m!r}")
+    names, binder, subs = row
+    if binder:
+        inner = {}
+        _occ(getattr(m, subs[0]), inner)
+        for v in L._entries(getattr(m, binder)):
+            if inner.pop(v, 0) != 1 and type(m) in _ONCE:
+                raise LamTypeError("LinearityViolation",
+                                   _ONCE[type(m)].format(v.display))
+        for v, k in inner.items():
+            counts[v] = counts.get(v, 0) + k
+        subs = subs[1:]
+    for f in subs:
+        for t in L._entries(getattr(m, f)):
+            if t is None:
+                continue
+            if f not in _UNRESTRICTED:
+                _occ(t, counts)
+            elif L.llfv(t):
+                raise LamTypeError(
+                    "LinearityViolation",
+                    "unrestricted bag elements may not use linear variables")
+    if not isinstance(m, L.UnrVar):
+        for f in names:
+            for v in L._entries(getattr(m, f)):
                 counts[v] = counts.get(v, 0) + 1
-        case L.Abs(v, b):
-            inner = {}
-            _occ(b, inner)
-            if inner.pop(v, 0) != 1:
-                raise LamTypeError(
-                    "LinearityViolation",
-                    f"abstraction parameter {v.display} must be shared exactly once")
-            _merge_counts(counts, inner)
-        case L.App(f, bg):
-            _occ(f, counts)
-            _occ_bag(bg, counts)
-        case L.Sharing(b, als, v):
-            inner = {}
-            _occ(b, inner)
-            for a in als:
-                if inner.pop(a, 0) != 1:
-                    raise LamTypeError(
-                        "LinearityViolation",
-                        f"shared alias {a.display} must occur exactly once")
-            _merge_counts(counts, inner)
-            counts[v] = counts.get(v, 0) + 1
-        case L.InterSub(b, bg, v):
-            inner = {}
-            _occ(b, inner)
-            if inner.pop(v, 0) != 1:
-                raise LamTypeError(
-                    "LinearityViolation",
-                    f"substituted variable {v.display} must occur exactly once")
-            _merge_counts(counts, inner)
-            _occ_bag(bg, counts)
-        case L.LinSub(b, items, vs):
-            inner = {}
-            _occ(b, inner)
-            for x in vs:
-                if inner.pop(x, 0) != 1:
-                    raise LamTypeError(
-                        "LinearityViolation",
-                        f"substitution variable {x.display} must occur exactly once")
-            _merge_counts(counts, inner)
-            for it in items:
-                _occ(it, counts)
-        case L.UnrSub(b, slots, v):
-            inner = {}
-            _occ(b, inner)
-            inner.pop(v, None)
-            _merge_counts(counts, inner)
-            for s in slots:
-                if s is not None:
-                    _closed_linear(s)
-        case _:
-            raise TypeError(f"not a term: {m!r}")
-
-
-def _occ_bag(bg, counts):
-    for it in bg.linear:
-        _occ(it, counts)
-    for s in bg.unr:
-        if s is not None:
-            _closed_linear(s)
-
-
-def _closed_linear(t):
-    if L.llfv(t):
-        raise LamTypeError(
-            "LinearityViolation",
-            "unrestricted bag elements may not use linear variables")
-
-
-def _merge_counts(counts, inner):
-    for v, k in inner.items():
-        counts[v] = counts.get(v, 0) + k
 
 
 def check_linearity(m, domain):

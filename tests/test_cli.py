@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from eagerpi.cli import main
 from eagerpi.parser import MAX_NESTING
 from tests.conftest import corpus_path
@@ -119,7 +121,171 @@ def test_seeded_step_deterministic(capsys):
     assert out1 == out2
 
 
-def _cli(*argv, env=None):
+# A random path through a cycle: the root's one step replicates, and the
+# replica's forwarder dissolves the new cut back into the root.
+CYCLE = "def C = new x (?x!(y). [y<->a] | !x?(z). ?x!(w). [w<->a])\n"
+
+# The `--json` output of seeded traces and of `run`, recorded before the
+# trace became the explorer's graph, field by field in printed order. A
+# revisited node keeps its first number and depth, the root of a cycle has
+# a parent, and the walk's last node is flagged even where it passed before.
+PINNED = {
+    ("step", "movie.spi", "Full", "--seed", "3", "--bound", "20"): [
+        (0, None, "", "",
+         "new b0 (b0?(b1). wait b1. b0&{buy: b0&{card: b0?(b2). "
+         "wait b2. b0!(b3)(close b3 | close b0), cash: "
+         "b0!(b4)(close b4 | close b0)}, peek: b0!(b5)(close b5 "
+         "| close b0)} | b0!(b6)(close b6 | (b0#buy. b0#card. "
+         "b0!(b7)(close b7 | b0?(b8). wait b8. wait b0. 0) ++ "
+         "b0#buy. b0#cash. b0?(b9). wait b9. wait b0. 0 ++ "
+         "b0#peek. b0?(b10). wait b10. wait b0. 0)))", 0, False),
+        (1, 0, "comm", "s",
+         "new b0 (close b0 | new b1 ((b1#buy. b1#card. "
+         "b1!(b2)(close b2 | b1?(b3). wait b3. wait b1. 0) ++ "
+         "b1#buy. b1#cash. b1?(b4). wait b4. wait b1. 0 ++ "
+         "b1#peek. b1?(b5). wait b5. wait b1. 0) | wait b0. "
+         "b1&{buy: b1&{card: b1?(b6). wait b6. b1!(b7)(close b7 "
+         "| close b1), cash: b1!(b8)(close b8 | close b1)}, "
+         "peek: b1!(b9)(close b9 | close b1)}))", 1, False),
+        (2, 1, "close", "title",
+         "new b0 (b0&{buy: b0&{card: b0?(b1). wait b1. "
+         "b0!(b2)(close b2 | close b0), cash: b0!(b3)(close b3 |"
+         " close b0)}, peek: b0!(b4)(close b4 | close b0)} | "
+         "(b0#buy. b0#card. b0!(b5)(close b5 | b0?(b6). wait b6."
+         " wait b0. 0) ++ b0#buy. b0#cash. b0?(b7). wait b7. "
+         "wait b0. 0 ++ b0#peek. b0?(b8). wait b8. wait b0. 0))", 2, False),
+        (3, 2, "sel:buy", "s",
+         "new b0 (b0&{card: b0?(b1). wait b1. b0!(b2)(close b2 |"
+         " close b0), cash: b0!(b3)(close b3 | close b0)} | "
+         "b0#cash. b0?(b4). wait b4. wait b0. 0)", 3, False),
+        (4, 3, "sel:cash", "s",
+         "new b0 (b0?(b1). wait b1. wait b0. 0 | b0!(b2)(close "
+         "b2 | close b0))", 4, False),
+        (5, 4, "comm", "s",
+         "new b0 (close b0 | new b1 (close b1 | wait b0. wait "
+         "b1. 0))", 5, False),
+        (6, 5, "close", "movie",
+         "new b0 (close b0 | wait b0. 0)", 6, False),
+        (7, 6, "close", "s",
+         "0", 7, False),
+    ],
+    ("step", "vm.spi", "VM1", "--seed", "1", "--bound", "8"): [
+        (0, None, "", "",
+         "new b0 (b0&{c: wait b0. 0, t: wait b0. 0} | new b1 "
+         "(b1?(b2). b1&{c: b0#c. wait b1. wait b2. close b0, t: "
+         "b0#t. wait b1. wait b2. close b0} | b1!(b3)(close b3 |"
+         " (b1#c. close b1 ++ b1#t. close b1))))", 0, False),
+        (1, 0, "comm", "x",
+         "new b0 (b0&{c: wait b0. 0, t: wait b0. 0} | new b1 "
+         "(close b1 | new b2 (b2&{c: b0#c. wait b2. wait b1. "
+         "close b0, t: b0#t. wait b2. wait b1. close b0} | "
+         "(b2#c. close b2 ++ b2#t. close b2))))", 1, False),
+        (2, 1, "sel:c", "x",
+         "new b0 (b0&{c: wait b0. 0, t: wait b0. 0} | new b1 "
+         "(close b1 | new b2 (close b2 | b0#c. wait b1. wait b2."
+         " close b0)))", 2, False),
+        (3, 2, "sel:c", "y",
+         "new b0 (close b0 | new b1 (close b1 | new b2 (wait b0."
+         " wait b1. close b2 | wait b2. 0)))", 3, False),
+        (4, 3, "close", "x",
+         "new b0 (close b0 | new b1 (wait b0. close b1 | wait "
+         "b1. 0))", 4, False),
+        (5, 4, "close", "coin",
+         "new b0 (close b0 | wait b0. 0)", 5, False),
+        (6, 5, "close", "y",
+         "0", 6, False),
+    ],
+    ("step", "generated.spi", "G005", "--seed", "2", "--bound", "6"): [
+        (0, None, "", "",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (b2!(b3)(!b3?(b4). !b4?(b5). "
+         "close b5 | new b6 (close b6 | [b2<->b6])) | (b2?(b7). "
+         "(?b7!(b8). ?b8!(b9). wait b9. 0 | ?b7!(b10). "
+         "?b10!(b11). wait b11. 0 | new b12 ([b2<->b12] | wait "
+         "b12. 0)) ++ b2?(b13). (?b13!(b14). ?b14!(b15). wait "
+         "b15. 0 | ?b13!(b16). (?b16!(b17). wait b17. 0 | "
+         "?b16!(b18). wait b18. 0) | wait b2. 0))))", 0, False),
+        (1, 0, "comm", "x",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (close b2 | new b3 ([b2<->b3]"
+         " | new b4 ([b3<->b4] | wait b4. 0))) | new b5 "
+         "((?b5!(b6). ?b6!(b7). wait b7. 0 | ?b5!(b8). ?b8!(b9)."
+         " wait b9. 0) | !b5?(b10). !b10?(b11). close b11))", 1, False),
+        (2, 1, "id", "w",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (close b2 | new b3 ([b2<->b3]"
+         " | wait b3. 0)) | new b4 ((?b4!(b5). ?b5!(b6). wait "
+         "b6. 0 | ?b4!(b7). ?b7!(b8). wait b8. 0) | !b4?(b9). "
+         "!b9?(b10). close b10))", 2, False),
+        (3, 2, "id", "x",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (close b2 | wait b2. 0) | new"
+         " b3 ((?b3!(b4). ?b4!(b5). wait b5. 0 | ?b3!(b6). "
+         "?b6!(b7). wait b7. 0) | !b3?(b8). !b8?(b9). close b9))", 3, False),
+        (4, 3, "repl", "p",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (?b2!(b3). ?b3!(b4). wait b4."
+         " 0 | !b2?(b5). !b5?(b6). close b6) | new b7 (?b7!(b8)."
+         " wait b8. 0 | !b7?(b9). close b9) | new b10 (close b10"
+         " | wait b10. 0))", 4, False),
+        (5, 4, "repl", "r_6",
+         "(new b0 (b0&{a: new b1 ([b0<->b1] | wait b1. 0)} | "
+         "b0#a. close b0) | new b2 (?b2!(b3). ?b3!(b4). wait b4."
+         " 0 | !b2?(b5). !b5?(b6). close b6) | new b7 (close b7 "
+         "| wait b7. 0) | new b8 (close b8 | wait b8. 0))", 5, False),
+        (6, 5, "sel:a", "x_12",
+         "(new b0 (?b0!(b1). ?b1!(b2). wait b2. 0 | !b0?(b3). "
+         "!b3?(b4). close b4) | new b5 (close b5 | new b6 "
+         "([b5<->b6] | wait b6. 0)) | new b7 (close b7 | wait "
+         "b7. 0) | new b8 (close b8 | wait b8. 0))", 6, True),
+    ],
+    ("step", "cycle.spi", "C", "--seed", "1", "--bound", "4"): [
+        (0, 1, "id", "y",
+         "new b0 (?b0!(b1). [b1<->a] | !b0?(b2). ?b0!(b3). "
+         "[b3<->a])", 0, True),
+        (1, 0, "repl", "x",
+         "(new b0 (0 | [b0<->a]) | new b1 (?b1!(b2). [b2<->a] | "
+         "!b1?(b3). ?b1!(b4). [b4<->a]))", 1, False),
+    ],
+    ("step", "cycle.spi", "C", "--seed", "1", "--bound", "5"): [
+        (0, 1, "id", "y",
+         "new b0 (?b0!(b1). [b1<->a] | !b0?(b2). ?b0!(b3). "
+         "[b3<->a])", 0, False),
+        (1, 0, "repl", "x",
+         "(new b0 (0 | [b0<->a]) | new b1 (?b1!(b2). [b2<->a] | "
+         "!b1?(b3). ?b1!(b4). [b4<->a]))", 1, True),
+    ],
+    ("run", "movie.spi", "Full"): [
+        ("0",),
+    ],
+    ("run", "ex32.lc", "M", "--bound", "12"): [
+        ("y <x2 <x3 <>>> {| <fail{}, \\x_1. x1 [x1 <- x_1]> / x2, x3 |}"
+         " {! !1 / x !}",),
+        ("fail{y}",),
+        ("y <x3 <>> {| <> /  |} {! !1 / x_1 !} {| <fail{}> / x3 |} {! "
+         "!1 / x !}",),
+    ],
+}
+
+_FIELDS = {"step": ("node", "parent", "rule", "cut", "term", "depth",
+                    "bound_exhausted"),
+           "run": ("normal",)}
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+def test_pinned_json_output(capsys, tmp_path, argv):
+    cmd, file, *rest = argv
+    path = corpus_path(file)
+    if file == "cycle.spi":
+        path = tmp_path / file
+        path.write_text(CYCLE)
+    code, out = run(capsys, cmd, str(path), *rest, "--json")
+    assert code == 0
+    assert out == "".join(json.dumps(dict(zip(_FIELDS[cmd], rec))) + "\n"
+                          for rec in PINNED[argv])
+
+
+def _cli(*argv, env=None, stdin=None):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     import os
     import subprocess
@@ -128,7 +294,18 @@ def _cli(*argv, env=None):
     env = dict(os.environ, PYTHONPATH=src, **(env or {}))
     return subprocess.run([sys.executable, "-m", "eagerpi.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=120)
+                          input=stdin, timeout=120)
+
+
+def test_interactive_bad_reply_exits_2():
+    # a reply that is not a number, and input that ends before a reply
+    for stdin in ("abc\n", ""):
+        out = _cli("step", corpus_path("movie.spi"), "Full", "--interactive",
+                   stdin=stdin)
+        assert out.returncode == 2, stdin
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert "no step chosen" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_deep_input_exits_2_without_traceback(tmp_path):

@@ -170,7 +170,7 @@ def test_trace_deadlocked_open_term_is_leaf():
     from eagerpi.process import Input
     p = Input(x, y, Close(x))  # open input, no partner
     tr = trace(p, 5)
-    assert len(tr.nodes) == 1 and not tr.nodes[0].successors
+    assert len(tr.nodes) == 1 and not tr.nodes[tr.root].successors
 
 
 def test_trace_random_strategy_deterministic(movie):
@@ -191,7 +191,7 @@ def test_normal_forms_movie(movie):
 def test_trace_bound_exhausted_flag(movie):
     tr = trace(movie.defs["Full"][0], 2)
     assert tr.truncated
-    assert any(n.bound_exhausted for n in tr.nodes.values())
+    assert any(n.has_steps and not n.expanded for n in tr.nodes.values())
 
 
 def _bfs_depths(nodes, root):

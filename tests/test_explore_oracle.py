@@ -113,17 +113,21 @@ def _compare_trace(p, bound, nodes, cap=20000):
     `nodes`; True iff only the old one was truncated."""
     old = ref.trace(p, bound, max_states=cap)
     new = trace(p, bound, max_states=cap)
-    assert list(old.nodes) == list(new.nodes)
+    # the reference numbers its nodes in discovery order
+    ids = {k: i for i, k in enumerate(new.nodes)}
+    assert list(old.nodes) == list(ids.values())
     assert [(term_key(n.process), n.depth) for n in new.nodes.values()] \
         == [(k, n.depth) for k, n in nodes.items()]
-    for nid, n in new.nodes.items():
-        o = old.nodes[nid]
+    for k, n in new.nodes.items():
+        o = old.nodes[ids[k]]
         assert term_key(o.process) == term_key(n.process)
         assert o.depth == n.depth
+        succ = [(rule, ids[child]) for rule, child in n.successors]
+        exhausted = n.has_steps and not n.expanded
         if (o.expanded, o.successors, o.bound_exhausted) != \
-                (n.expanded, n.successors, n.bound_exhausted):
+                (n.expanded, succ, exhausted):
             assert n.depth == bound and n.expanded and not o.expanded
-            assert not o.successors and not n.bound_exhausted
+            assert not o.successors and not exhausted
     assert new.truncated == any(not n.expanded for n in nodes.values())
     assert old.truncated >= new.truncated
     return old.truncated and not new.truncated

@@ -113,3 +113,41 @@ def test_unrestricted_index_out_of_range():
 def test_success_constant_untyped():
     with pytest.raises(LamTypeError):
         check_wf({}, {}, L.SuccessT(), U)
+
+
+def _error(gamma, m):
+    with pytest.raises(LamTypeError) as e:
+        check_wf({}, gamma, m, U)
+    return str(e.value)
+
+
+def test_alias_used_twice():
+    x, a = s.fresh("x"), s.fresh("a")
+    m = L.Abs(x, L.Sharing(L.App(L.LinVar(a), L.bag(L.LinVar(a))), (a,), x))
+    assert _error({}, m) == \
+        "LinearityViolation: shared alias a must occur exactly once"
+
+
+def test_unused_parameter():
+    x, y = s.fresh("x"), s.fresh("y")
+    assert _error({y: U}, L.Abs(x, L.LinVar(y))) == "LinearityViolation: " \
+        "abstraction parameter x must be shared exactly once"
+
+
+def test_linear_variable_in_unrestricted_slot():
+    y = s.fresh("y")
+    m = L.App(L.LinVar(y), L.bag(unr=(L.LinVar(y),)))
+    assert _error({y: U}, m) == "LinearityViolation: " \
+        "unrestricted bag elements may not use linear variables"
+
+
+def test_unused_context_entry():
+    y, z = s.fresh("y"), s.fresh("z")
+    assert _error({y: U, z: U}, L.LinVar(y)) == \
+        "LinearityViolation: context entry z is unused"
+
+
+def test_variable_outside_the_domain():
+    y = s.fresh("y")
+    assert _error({}, L.LinVar(y)) == \
+        "UnboundVariable: y not in the linear context"
