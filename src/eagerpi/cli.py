@@ -21,8 +21,8 @@ from .equivalence import (bisim_eager, check_loose_completeness,
                           check_loose_soundness, check_success_sensitivity)
 from .lamtypes import LamTypeError, check_wf, check_wt
 from .names import NameSupply
-from .parser import (MAX_NESTING, ParseError, _Cursor, parse_lc,
-                     parse_session_type, parse_spi, tokenize)
+from .parser import (MAX_NESTING, ParseError, _Cursor, parse_context,
+                     parse_lc, parse_spi, tokenize)
 from .printer import ctx_text, lam_text, process_text
 from .translate import Translator, translate_contexts, translate_strict
 from .typecheck import SessionTypeError, infer_context, typecheck
@@ -72,20 +72,9 @@ def _load(path):
 
 
 def _parse_ctx_arg(text, freemap, supply):
-    ctx = {}
-    cur = _Cursor(tokenize(text))
-    if cur.at("eof"):
-        return ctx
-    while True:
-        name = cur.take("ident").text
-        cur.take(":")
-        ty = parse_session_type(cur)
-        n = freemap.get(name) or supply.fresh(name)
-        ctx[n] = ty
-        if not cur.try_take(","):
-            break
-    cur.take("eof")
-    return ctx
+    entries = parse_context(_Cursor(tokenize(text)), "eof")
+    return {freemap.get(name) or supply.fresh(name): ty
+            for name, ty in entries}
 
 
 def cmd_check(args):
@@ -180,9 +169,13 @@ def cmd_step(args):
             for i, st in enumerate(steps):
                 print(f"  [{i}] {st.redex.rule} on {st.redex.cut.display}")
             try:
-                return int(input("step> "))
+                i = int(input("step> "))
             except (EOFError, ValueError) as e:
                 raise UsageError(f"no step chosen: {e}") from None
+            if not 0 <= i < len(steps):
+                raise UsageError(f"no step chosen: {i} is not a step number "
+                                 f"from 0 to {len(steps) - 1}")
+            return i
         g = trace(proc, args.bound, "interactive", chooser=chooser,
                   max_states=args.max_states)
     else:
@@ -337,8 +330,8 @@ def main(argv=None):
     co.set_defaults(fn=cmd_correspond)
 
     args = ap.parse_args(argv)
-    # parsing takes at most 5 frames per nesting level (a labelled row or
-    # a tensor in a type), checking and printing at most 3
+    # parsing takes at most 5 frames per nesting level (a labelled row of a
+    # type or a branch, a bag), checking and printing at most 3
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * MAX_NESTING))
     try:
         args.max_states = _max_states()

@@ -150,9 +150,9 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
     `term_key` and edges labelled `rule@cut`. Strategies: exhaustive (the
     graph of `graph.explore`, so a node's depth is its least distance from
     the root), random (seeded single path), interactive (chooser picks a
-    step index at each node). A path's nodes are expanded where it went
-    on, and keep their first depth when it passes again; its last node is
-    unexpanded when it stops at the bound."""
+    step index, 0 to len(steps) - 1, at each node). A path's nodes are
+    expanded where it went on, and keep their first depth when it passes
+    again; its last node is unexpanded when it stops at the bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
         return graph.explore(
@@ -170,7 +170,7 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
         if strategy == "random":
             st = rng.choice(sorted(steps, key=lambda s: (s.redex.rule, term_key(s.target))))
         elif strategy == "interactive":
-            st = steps[chooser(node.state, steps) % len(steps)]
+            st = steps[chooser(node.state, steps)]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         k = term_key(st.target)

@@ -53,18 +53,22 @@ class Graph(NamedTuple):
 
     def maximal_paths(self, limit: int = 100000):
         """Root-to-leaf label paths, each with its last node (unexpanded
-        frontier nodes count as leaves)."""
+        frontier nodes count as leaves). A path that comes back to a node
+        already on it stops there."""
         paths = []
+        on_path = set()
 
         def go(key, acc):
             if len(paths) >= limit:
                 return
             node = self.nodes[key]
-            if not node.successors:
+            if not node.successors or key in on_path:
                 paths.append((tuple(acc), node))
                 return
+            on_path.add(key)
             for label, child in node.successors:
                 go(child, acc + [label])
+            on_path.discard(key)
 
         go(self.root, [])
         return paths

@@ -11,7 +11,9 @@ subprocesses, and the fields holding those subprocesses. Free names, the
 linear/unrestricted split, child access, substitution, simultaneous
 renaming and binder freshening are all derived from it. Only the canonical
 walk `_walk_node` spells out every constructor, because it fixes the key
-format.
+format. `SYNTAX` is the one place the concrete syntax of the twelve
+constructors with a fixed shape lives: one template each, which the parser
+reads and the printer fills.
 
 Structural identity of processes is alpha-invariant: `term_key` is the key
 of a process's canonical form, which the canonical walk computes with de
@@ -286,6 +288,31 @@ def _with_children(p: Process, kids, changed: Optional[dict] = None):
             v = changed.get(f, v)
         args.append(v)
     return cls(*args)
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax
+
+# The template of each constructor with a fixed shape: the parser reads it
+# and the printer fills it. Its holes come in the order of the dataclass
+# fields: `x` a free name, `y` the binder, `P` a subprocess, `(P | Q)` the
+# two sides of a restriction or output, `L` a label and `W` a list of
+# names. Every other token is literal. `0`, `OK`, parentheses, `|`, `++`,
+# branches `x&{l: P, ...}` and definition references are written by hand.
+SYNTAX = {
+    Close: "close x",
+    NoneAvail: "none x",
+    Wait: "wait x. P",
+    SomeAvail: "some x. P",
+    Expect: "expect x [W]. P",
+    Forward: "[x<->x]",
+    Restrict: "new y (P | Q)",
+    Client: "?x!(y). P",
+    Server: "!x?(y). P",
+    Input: "x?(y). P",
+    Output: "x!(y)(P | Q)",
+    Select: "x#L. P",
+}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import lam as L
-from .lamtypes import ArrowT, Mult, UnitT, check_wf
+from .lamtypes import ArrowT, LamTypeError, Mult, UnitT, check_wf
 from .names import Name, NameSupply
 from .process import (Branch, Client, Close, Expect, Forward, Inaction,
                       Input, NoneAvail, Output, Par, Process, Restrict,
@@ -131,8 +131,8 @@ class Translator:
 
     def _linsub(self, body, items, vs, u):
         if len(items) != len(vs):
-            raise ValueError(
-                "linear substitution with mismatched arity has no translation")
+            raise LamTypeError("ArityMismatch", "linear substitution with "
+                               "mismatched arity has no translation")
         base = self.term(body, u)
         if not items:
             return base

@@ -298,14 +298,43 @@ def _cli(*argv, env=None, stdin=None):
 
 
 def test_interactive_bad_reply_exits_2():
-    # a reply that is not a number, and input that ends before a reply
-    for stdin in ("abc\n", ""):
+    # a reply that is not a number, input that ends before a reply, and
+    # step numbers out of range: movie `Full` offers one step at first, and
+    # valid replies follow, so a reply taken modulo the number of steps
+    # would walk on and exit 0
+    for stdin in ("abc\n", "", "7\n" + "0\n" * 60, "-1\n" + "0\n" * 60):
         out = _cli("step", corpus_path("movie.spi"), "Full", "--interactive",
                    stdin=stdin)
         assert out.returncode == 2, stdin
         assert len(out.stderr.splitlines()) == 1, out.stderr
         assert "no step chosen" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("text, argv, error", [
+    ("def B = x&{a: close x, b: 0, a: close x}\n", (), "'a' at 1:30"),
+    ("def B [x: +{a: 1, a: 1}] = x#a. close x\n", (), "'a' at 1:19"),
+    ("def B = x#a. close x\n", ("--ctx", "x: +{a: 1, b: &{c: 1, c: 1}}"),
+     "'c' at 1:23"),
+])
+def test_repeated_label_exits_2_at_the_label(tmp_path, text, argv, error):
+    src = tmp_path / "dup.spi"
+    src.write_text(text)
+    out = _cli("check", str(src), *argv)
+    assert out.returncode == 2
+    assert out.stderr == f"parse error: duplicate label {error}\n"
+
+
+@pytest.mark.parametrize("cmd", ["translate", "correspond"])
+def test_mismatched_arity_translation_exits_1(tmp_path, cmd):
+    src = tmp_path / "arity.lc"
+    src.write_text("def H = y {| <OK> / x1, x2 |}\n")
+    out = _cli(cmd, str(src), "H")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "ArityMismatch: linear substitution with mismatched arity has no "
+        "translation"]
 
 
 def test_deep_input_exits_2_without_traceback(tmp_path):

@@ -194,6 +194,21 @@ def test_trace_bound_exhausted_flag(movie):
     assert any(n.has_steps and not n.expanded for n in tr.nodes.values())
 
 
+def test_maximal_paths_stop_where_a_cycle_closes():
+    # the client's continuation calls the server again, so the graph has a
+    # cycle; a path ends at the first node it reaches a second time
+    from eagerpi.parser import parse_spi
+    p = parse_spi("def C = new x (?x!(y). [y<->a] | "
+                  "!x?(z). ?x!(w). [w<->a])").defs["C"][0]
+    for strategy in ("exhaustive", "random"):
+        tr = trace(p, 5, strategy, seed=1)
+        assert any(tr.nodes[k].depth <= n.depth for n in tr.nodes.values()
+                   for _, k in n.successors)
+        paths = tr.maximal_paths()
+        assert paths
+        assert all(len(labels) <= len(tr.nodes) for labels, _ in paths)
+
+
 def _bfs_depths(nodes, root):
     depths = {root: 0}
     queue = [root]

@@ -150,3 +150,22 @@ def test_nesting_limit(parse, nest):
             parse(nest(MAX_NESTING + 1))
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("parse, nest", [
+    (parse_spi, lambda n: "def T = " + "x#a. " * n + "0"),
+    (parse_spi, lambda n: "def T = " + "x&{a: " * n + "0" + "}" * n),
+    (parse_spi, lambda n: "def T = " + "new x (0 | " * n + "0" + ")" * n),
+    (parse_spi, lambda n: "def T = " + "x!(y)(0 | " * n + "0" + ")" * n),
+    (session_type_of, lambda n: "+{a: " * n + "1" + "}" * n),
+    (session_type_of, lambda n: "1 * (" * n + "1" + ")" * n),
+    (parse_lc, lambda n: "def T = " + "x <" * n + "OK" + ">" * n),
+])
+def test_parsing_takes_at_most_5_frames_per_level(parse, nest):
+    # the recursion limit that `cli.main` sets counts on this
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5 * MAX_NESTING + 200)
+    try:
+        parse(nest(MAX_NESTING))
+    finally:
+        sys.setrecursionlimit(limit)
