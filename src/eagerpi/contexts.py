@@ -9,10 +9,12 @@ synchronization inside a choice discards the branches not involved in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .names import Name
 from .process import (Forward, NDChoice, Par, Process, Restrict, Success,
-                      PREFIXED, par_all, par_parts, sum_all, sum_parts)
+                      PREFIXED, alike, free_names, keyed_parts, par_all,
+                      sum_all)
 
 
 class NDContext:
@@ -81,32 +83,44 @@ def is_dcontext(ctx: NDContext) -> bool:
     raise TypeError(f"not an ND-context: {ctx!r}")
 
 
-def decompositions(p: Process):
+def decompositions(p: Process, x: Optional[Name] = None, key=None):
     """All ways to write p as N[q] with q a prefixed process, a forwarder,
     or the success constant. Parallel components and both sides of every
     sum are explored (the commutativity axioms make the hole reachable on
-    either side)."""
+    either side).
+
+    With a cut name `x`, only the redex positions of a cut on x: q is a
+    prefix with subject x or a forwarder on x, and the search enters only
+    parts that hold x free; a context's siblings are assembled only for
+    such a q. With `key`, the key a walk gave p, a parallel part alike
+    (`process.alike`) to the part before it is skipped: its steps are
+    those of that part, up to congruence."""
     out = []
-    _decompose(p, lambda ctx: ctx, out)
+    _decompose(p, x, key, lambda ctx: ctx, out)
     return out
 
 
-def _decompose(p: Process, wrap, out: list):
+def _decompose(p: Process, x, key, wrap, out: list):
     """Append the decompositions of p to `out`, each context built once by
     `wrap`, which puts it in the enclosing context."""
+    if x is not None and x not in free_names(p):
+        return
     if isinstance(p, PREFIXED) or isinstance(p, (Forward, Success)):
-        out.append((wrap(Hole()), p))
-    elif isinstance(p, Par):
-        parts = par_parts(p)
+        if x is None or x == p.x or isinstance(p, Forward) and x == p.y:
+            out.append((wrap(Hole()), p))
+    elif isinstance(p, (Par, NDChoice)):
+        nest, join = (NPar, par_all) if isinstance(p, Par) else (NSum, sum_all)
+        parts, keys = keyed_parts(p, key)
         for i, c in enumerate(parts):
-            rest = par_all(parts[:i] + parts[i + 1:])
-            _decompose(c, lambda ctx, rest=rest: wrap(NPar(ctx, rest)), out)
-    elif isinstance(p, NDChoice):
-        parts = sum_parts(p)
-        for i, c in enumerate(parts):
-            rest = sum_all(parts[:i] + parts[i + 1:])
-            _decompose(c, lambda ctx, rest=rest: wrap(NSum(ctx, rest)), out)
+            if nest is NPar and i and alike(parts[i - 1], keys[i - 1],
+                                            c, keys[i]):
+                continue
+
+            def inner(ctx, i=i):
+                return wrap(nest(ctx, join(parts[:i] + parts[i + 1:])))
+            _decompose(c, x, keys[i], inner, out)
     elif isinstance(p, Restrict):
-        x = p.x
-        for side, other in ((p.left, p.right), (p.right, p.left)):
-            _decompose(side, lambda ctx, o=other: wrap(NRes(x, ctx, o)), out)
+        (left, right), (kl, kr) = keyed_parts(p, key)
+        for side, other, k in ((left, right, kl), (right, left, kr)):
+            _decompose(side, x, k,
+                       lambda ctx, o=other: wrap(NRes(p.x, ctx, o)), out)

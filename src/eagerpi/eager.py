@@ -6,11 +6,30 @@ decompose through ND-contexts into prefixed processes on x. The target is
 built with the committed contexts, which discards the sum branches not
 involved in the step; reductions wholly inside one branch of a sum keep
 the other branches (congruence rule for sums).
+
+A node's local steps, each a redex and its raw target, are computed once
+per `exploration` and kept on the node (`_local_steps`). Nodes are never
+mutated and a redex holds names, not binder levels, so the list does not
+depend on where the node sits: a subtree that a step left alone gives
+the same target objects in the next state, whose extrusion and walk then
+answer from their memos. The memos are dropped when the exploration
+ends, so exploring an input again does the same work.
+
+A cut `new x (L | R)` decomposes its sides only into prefixes and
+forwarders on x, entering only parts that hold x free. Of adjacent
+parallel parts that are alike (`process.alike`: equal keys in their
+context and the same free names, with distinct displays) only the first
+is searched. Alike parts are congruent, so the others' steps are its
+steps up to congruence, which `step_all` would drop as duplicates; being
+congruent does not depend on the context, so the pruned list is right
+wherever the node is reused. The key that tells alike parts is threaded
+down from the state's, since a walked node's key mirrors it.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,10 +38,9 @@ from .contexts import Hole, commit, decompositions, plug
 from .names import Name
 from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
-                      Select, Server, SomeAvail, Wait, branch_map,
-                      canonicalize, freshen_binders, par_all, par_parts,
-                      scope_normalize, substitute, sum_all, sum_parts,
-                      term_key)
+                      Select, Server, SomeAvail, Wait, alike, branch_map,
+                      canonicalize, freshen_binders, keyed_parts, par_all,
+                      scope_normalize, substitute, sum_all, term_key)
 
 
 @dataclass(eq=False)
@@ -40,11 +58,12 @@ class ReductionStep:
     target: Process
 
 
-def _cut_steps(x: Name, left: Process, right: Process):
-    """Axiom instances for the cut `new x (left | right)`."""
+def _cut_steps(x: Name, left: Process, right: Process, kl=None, kr=None):
+    """Axiom instances for the cut `new x (left | right)`, whose sides a
+    walk keyed kl and kr (or None)."""
     steps = []
-    dl = decompositions(left)
-    dr = decompositions(right)
+    dl = decompositions(left, x, kl)
+    dr = decompositions(right, x, kr)
     for here, there, dh, dt in ((left, right, dl, dr), (right, left, dr, dl)):
         for n, a in dh:
             # [Id]: the forwarder dissolves the cut and renames the partner
@@ -92,30 +111,69 @@ def _axiom(x, n, a, m, b):
     return None
 
 
-def _local_steps(p: Process):
+_memoised = None   # the nodes whose steps the open exploration memoised
+
+
+@contextmanager
+def exploration():
+    """Share the local steps of each node among all `step_all` calls
+    inside, as the states of one exploration share subtrees. When the
+    outermost exploration ends, its memos are dropped: no memo outlives
+    the exploration that made it, so exploring an input again repeats the
+    same work and no input keeps the targets it once had."""
+    global _memoised
+    if _memoised is not None:
+        yield
+        return
+    _memoised = []
+    try:
+        yield
+    finally:
+        for p in _memoised:
+            p._steps = None
+        _memoised = None
+
+
+def _local_steps(p: Process, key=None) -> tuple:
     """One-step reducts of p, paired with their redexes (targets are raw,
-    not canonicalized)."""
+    not canonicalized), memoised on p for the open `exploration` (or for
+    this call). `key` is the key a walk gave p, or None to read the key
+    of a canonical root, if p has one."""
+    with exploration():
+        return _memo_steps(p, p._key if key is None else key)
+
+
+def _memo_steps(p: Process, key) -> tuple:
+    steps = p._steps
+    if steps is None:
+        steps = p._steps = tuple(_search(p, key))
+        _memoised.append(p)
+    return steps
+
+
+def _search(p: Process, key) -> list:
     out = []
     match p:
         case Par(_, _):
-            parts = par_parts(p)
+            parts, keys = keyed_parts(p, key)
             for i, c in enumerate(parts):
-                for rdx, tgt in _local_steps(c):
+                if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
+                    continue
+                for rdx, tgt in _memo_steps(c, keys[i]):
                     out.append((rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])))
         case NDChoice(_, _):
-            parts = sum_parts(p)
+            parts, keys = keyed_parts(p, key)
             for i, c in enumerate(parts):
-                for rdx, tgt in _local_steps(c):
+                for rdx, tgt in _memo_steps(c, keys[i]):
                     rebuilt = parts[:i] + [tgt] + parts[i + 1:]
                     out.append((rdx, sum_all(rebuilt)))
         case Restrict(x, l, r):
-            for rdx, tgt in _local_steps(l):
+            _, (kl, kr) = keyed_parts(p, key)
+            for rdx, tgt in _memo_steps(l, kl):
                 out.append((rdx, Restrict(x, tgt, r)))
-            for rdx, tgt in _local_steps(r):
+            for rdx, tgt in _memo_steps(r, kr):
                 out.append((rdx, Restrict(x, l, tgt)))
-            out.extend(_cut_steps(x, l, r))
-        case _:
-            pass
+            out.extend(_cut_steps(x, l, r, kl, kr))
     return out
 
 
@@ -143,6 +201,7 @@ def _label(st: ReductionStep) -> str:
     return f"{st.redex.rule}@{st.redex.cut.display}"
 
 
+@exploration()
 def trace(p: Process, bound: int, strategy: str = "exhaustive",
           seed: int = 0, max_states: int = 20000,
           chooser: Optional[Callable] = None) -> graph.Graph:

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from . import graph
 from . import lam as L
-from .eager import step_all
+from .eager import exploration, step_all
 from .names import Name, NameSupply
 from .process import (PREFIXED, NDChoice, Par, Process, Restrict, Success,
                       canonicalize, free_names, par_all, par_parts,
@@ -185,6 +185,7 @@ def _steps(p: Process):
     return [(st.redex.rule, st.target) for st in step_all(p)]
 
 
+@exploration()
 def _graph(p: Process, depth: int, max_states: int, goal=None, step=_steps):
     """The eager reduction graph of p (see `graph.explore`)."""
     return graph.explore(scope_normalize(p), step, term_key, depth,
@@ -219,6 +220,7 @@ class BisimResult:
         return self.verdict == "bisimilar"
 
 
+@exploration()
 def bisim_eager(p: Process, q: Process, depth: int = 12,
                 max_states: int = 6000) -> BisimResult:
     """Ready-prefix bisimulation over the eager step graphs of p and q.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 from . import lam as L
 
@@ -102,8 +103,9 @@ def unify(t1, t2, where=""):
             unify_list(l1, l2, where)
             unify(g1, g2, where)
             return
-    raise LamTypeError("TypeMismatch",
-                       f"expected {show(t1)}, found {show(t2)} at {where}")
+    metas = {}
+    raise LamTypeError("TypeMismatch", f"expected {show(t1, metas)}, found "
+                       f"{show(t2, metas)} at {where}")
 
 
 def unify_mult(m1, m2, where=""):
@@ -158,10 +160,12 @@ def zonk_list(l):
     return tuple(zonk(t) for t in l)
 
 
-def show(t):
+def show(t, metas: Optional[dict] = None):
+    """t's text; the types of one message share `metas`, so that its
+    metavariables are numbered by first appearance in the message."""
     from .printer import ltype_text
     try:
-        return ltype_text(zonk(t))
+        return ltype_text(zonk(t), metas)
     except TypeError:
         return repr(t)
 

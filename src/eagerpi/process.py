@@ -26,8 +26,9 @@ mode, which takes the least-keyed restriction swap at every restriction.
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
 on it, in slots: its free-name set, whether it holds a restriction,
-whether `_extrude` leaves it unchanged, on a canonical form its key at the
-root, and the memo of the canonical walk `_walk`. The walk computes each
+what `_extrude` makes of it (True: itself), on a canonical form its key at the
+root, the memo of the canonical walk `_walk`, and its local steps
+(`eager._local_steps`). The walk computes each
 node's key once, bottom-up, and a parent sorts, deduplicates and orients
 its children by the keys they returned. A node already in canonical form
 is returned as it is and keeps, for each context it was walked in (depth,
@@ -48,10 +49,11 @@ from .names import Name, NameSupply, fresh_name
 
 
 class Process:
-    __slots__ = ("_fn", "_key", "_memo", "_ext", "_res")
+    __slots__ = ("_fn", "_key", "_memo", "_ext", "_res", "_steps")
 
     def __post_init__(self):
         self._fn = self._key = self._memo = self._ext = self._res = None
+        self._steps = None
 
 
 @dataclass(eq=False, slots=True)
@@ -446,6 +448,39 @@ def term_key(p: Process):
     return p._key if p._key is not None else _canonical(p)[1]
 
 
+def keyed_parts(p: Process, key=None):
+    """The parallel parts, sum parts or restriction sides of p (as
+    `par_parts`, `sum_parts` and (left, right) list them) and their keys.
+    A walk returns a node with a key that mirrors it: ("par", keys),
+    ("sum", keys) or ("res", kl, kr). Given that key, each part's key is
+    read off it, in the context the walk saw the part in; else each is
+    None."""
+    if isinstance(p, Par):
+        parts, tag = par_parts(p), "par"
+    elif isinstance(p, NDChoice):
+        parts, tag = sum_parts(p), "sum"
+    else:
+        parts, tag = [p.left, p.right], "res"
+    keys = None
+    if key is not None and key[0] == tag:
+        keys = key[1:] if tag == "res" else key[1]
+    if keys is None or len(keys) != len(parts):
+        keys = (None,) * len(parts)
+    return parts, keys
+
+
+def alike(p: Process, kp, q: Process, kq) -> bool:
+    """Whether siblings p and q, keyed kp and kq in their shared context,
+    are congruent, and so interchangeable in every context: equal keys,
+    and the same free names with distinct displays. A key spells a name
+    free in its context by the display alone, so without both conditions
+    equal keys can hide different names."""
+    if kp is None or kp != kq:
+        return False
+    fn = free_names(p)
+    return fn == free_names(q) and len({n.display for n in fn}) == len(fn)
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 
@@ -643,9 +678,13 @@ def is_inert(p: Process) -> bool:
 def _extrude(p: Process) -> Process:
     """One bottom-up pass of maximal scope extrusion: every parallel
     component of a restriction's sides that does not mention the bound
-    name moves out (instances of the first scope axiom plus units)."""
-    if p._ext:
-        return p
+    name moves out (instances of the first scope axiom plus units). The
+    result is kept on p, so a raw step target that later targets share
+    is extruded once; it is built from p's subtrees, never from p, so
+    keeping it makes no reference cycle."""
+    ext = p._ext
+    if ext is not None:
+        return p if ext is True else ext
     kids = _children(p)
     new = tuple(map(_extrude, kids))
     node = p if all(map(is_, kids, new)) else _with_children(p, new)
@@ -660,8 +699,8 @@ def _extrude(p: Process) -> Process:
                 side = par_all(keep)
             sides.append(side)
         if outer:
-            return par_all([Restrict(x, sides[0], sides[1])] + outer)
-    p._ext = node is p
+            node = par_all([Restrict(x, sides[0], sides[1])] + outer)
+    p._ext = True if node is p else node
     return node
 
 

@@ -438,3 +438,22 @@ def test_complete_graph_at_the_bound_is_not_cut(capsys):
     code, out = run(capsys, "bisim", corpus_path("generated.spi"), "G028",
                     "G028", "--depth", "1")
     assert code == 0 and out.strip() == "bisimilar"
+
+
+def test_type_errors_print_alike_in_every_run(tmp_path):
+    """A type error numbers its metavariables by first appearance in the
+    message, so two runs print the same output, and distinct metavariables
+    print differently."""
+    f = tmp_path / "metas.spi"
+    f.write_text("def N = new y (close y | new z (close z | 0))\n"
+                 "def M = new y (y?(a). [a<->u] | y?(b). [b<->v])\n")
+    runs = [_cli("check", str(f), env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert runs[0].returncode == runs[1].returncode == 1
+    # check prints each definition's verdict, errors included, on stdout
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout,
+                                                runs[1].stderr)
+    assert "N: TypeMismatch: expected 1, found !'1 at cut on z" \
+        in runs[0].stdout
+    assert "M: TypeMismatch: expected '1 @ ?'2, found '3 * !'4 at cut on y" \
+        in runs[0].stdout
