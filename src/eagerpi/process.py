@@ -26,9 +26,9 @@ mode, which takes the least-keyed restriction swap at every restriction.
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
 on it, in slots: its free-name set, whether it holds a restriction,
-what `_extrude` makes of it (True: itself), on a canonical form its key at the
-root, the memo of the canonical walk `_walk`, and its local steps
-(`eager._local_steps`). The walk computes each
+what `_extrude` makes of it (True: itself), on a canonical form its key
+at the root, the memo of the canonical walk `_walk`, and, during one
+exploration, its local steps (`eager._local_steps`). The walk computes each
 node's key once, bottom-up, and a parent sorts, deduplicates and orients
 its children by the keys they returned. A node already in canonical form
 is returned as it is and keeps, for each context it was walked in (depth,
