@@ -7,13 +7,15 @@ built with the committed contexts, which discards the sum branches not
 involved in the step; reductions wholly inside one branch of a sum keep
 the other branches (congruence rule for sums).
 
-A node's local steps, each a redex and its raw target, are computed once
-per `exploration` and kept on the node (`_local_steps`). Nodes are never
-mutated and a redex holds names, not binder levels, so the list does not
-depend on where the node sits: a subtree that a step left alone gives
-the same target objects in the next state, whose extrusion and walk then
-answer from their memos. The memos are dropped when the exploration
-ends, so exploring an input again does the same work.
+The local steps of a state's subtrees, each a redex and its raw target,
+are computed once per `exploration` and kept on the node (`_local_steps`;
+the state's own list is not kept, as each state is stepped once). Nodes
+are never mutated and a redex holds names, not binder levels, so the
+list does not depend on where the node sits: a subtree that a step left
+alone gives the same target objects in the next state, whose extrusion
+and walk then answer from their memos. The step memos and the
+extrusions built in an exploration are dropped when it ends, so
+exploring an input again does the same work.
 
 A cut `new x (L | R)` decomposes its sides only into prefixes and
 forwarders on x, entering only parts that hold x free. Of adjacent
@@ -29,18 +31,17 @@ down from the state's, since a walked node's key mirrors it.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import graph
+from . import graph, process
 from .contexts import Hole, commit, decompositions, plug
 from .names import Name
 from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
                       Select, Server, SomeAvail, Wait, alike, branch_map,
-                      canonicalize, freshen_binders, keyed_parts, par_all,
-                      scope_normalize, substitute, sum_all, term_key)
+                      canonicalize, exploration, freshen_binders, keyed_parts,
+                      par_all, scope_normalize, substitute, sum_all, term_key)
 
 
 @dataclass(eq=False)
@@ -58,7 +59,7 @@ class ReductionStep:
     target: Process
 
 
-def _cut_steps(x: Name, left: Process, right: Process, kl=None, kr=None):
+def _cut_steps(x: Name, left: Process, right: Process, kl, kr):
     """Axiom instances for the cut `new x (left | right)`, whose sides a
     walk keyed kl and kr (or None)."""
     steps = []
@@ -111,43 +112,24 @@ def _axiom(x, n, a, m, b):
     return None
 
 
-_memoised = None   # the nodes whose steps the open exploration memoised
-
-
-@contextmanager
-def exploration():
-    """Share the local steps of each node among all `step_all` calls
-    inside, as the states of one exploration share subtrees. When the
-    outermost exploration ends, its memos are dropped: no memo outlives
-    the exploration that made it, so exploring an input again repeats the
-    same work and no input keeps the targets it once had."""
-    global _memoised
-    if _memoised is not None:
-        yield
-        return
-    _memoised = []
-    try:
-        yield
-    finally:
-        for p in _memoised:
-            p._steps = None
-        _memoised = None
-
-
-def _local_steps(p: Process, key=None) -> tuple:
+def _local_steps(p: Process) -> tuple:
     """One-step reducts of p, paired with their redexes (targets are raw,
-    not canonicalized), memoised on p for the open `exploration` (or for
-    this call). `key` is the key a walk gave p, or None to read the key
-    of a canonical root, if p has one."""
+    not canonicalized). The lists of p's subtrees are memoised for the
+    open `exploration` (or for this call); p's own list is kept only if
+    p was met as a subtree: a state is stepped once, and keeping its list
+    would hold a whole target per step to the end of the exploration. A
+    canonical root's key, if p has one, tells alike parts."""
+    if p._steps is not None:
+        return p._steps
     with exploration():
-        return _memo_steps(p, p._key if key is None else key)
+        return tuple(_search(p, p._key))
 
 
 def _memo_steps(p: Process, key) -> tuple:
     steps = p._steps
     if steps is None:
         steps = p._steps = tuple(_search(p, key))
-        _memoised.append(p)
+        process._scoped.append(p)
     return steps
 
 

@@ -26,26 +26,55 @@ mode, which takes the least-keyed restriction swap at every restriction.
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
 on it, in slots: its free-name set, whether it holds a restriction,
-what `_extrude` makes of it (True: itself), on a canonical form its key
-at the root, the memo of the canonical walk `_walk`, and, during one
-exploration, its local steps (`eager._local_steps`). The walk computes each
-node's key once, bottom-up, and a parent sorts, deduplicates and orients
-its children by the keys they returned. A node already in canonical form
-is returned as it is and keeps, for each context it was walked in (depth,
-levels of its free names, swap if it holds a restriction), its key, so a
-subtree that a step left alone is not walked again. An entry holds only a
-context and a key, never a node: an entry naming its own node would put
-the node in a reference cycle, which only the cycle collector frees. Equal
-contexts and name keys are one shared tuple, to keep entries small.
+whether `_extrude` leaves it unchanged, on a canonical form its key at
+the root, and the memo of the canonical walk `_walk`. Two more are kept
+only for the open `exploration` and dropped when it ends: its local
+steps (`eager._local_steps`) and the node `_extrude` built from it, if
+any. The walk computes each node's key once, bottom-up, and a parent
+sorts, deduplicates and orients its children by the keys they returned.
+A node already in canonical form is returned as it is and keeps, for
+each context it was walked in (depth, levels of its free names, swap if
+it holds a restriction), its key, so a subtree that a step left alone is
+not walked again. An entry holds only a context and a key, never a node:
+an entry naming its own node would put the node in a reference cycle,
+which only the cycle collector frees. Equal contexts and name keys are
+one shared tuple, to keep entries small.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter, is_, itemgetter
 from typing import Iterator, Optional
 
 from .names import Name, NameSupply, fresh_name
+
+
+_scoped = None   # the nodes holding memos of the open exploration
+
+
+@contextmanager
+def exploration():
+    """Share the memos of one exploration among the states it visits,
+    which share subtrees: each node's local steps and the node `_extrude`
+    built from it. When the outermost exploration ends, those memos are
+    dropped: none outlives the exploration that made it, so exploring an
+    input again repeats the same work and no input keeps the targets it
+    once had."""
+    global _scoped
+    if _scoped is not None:
+        yield
+        return
+    _scoped = []
+    try:
+        yield
+    finally:
+        for p in _scoped:
+            p._steps = None
+            if p._ext is not True:
+                p._ext = None
+        _scoped = None
 
 
 class Process:
@@ -678,10 +707,11 @@ def is_inert(p: Process) -> bool:
 def _extrude(p: Process) -> Process:
     """One bottom-up pass of maximal scope extrusion: every parallel
     component of a restriction's sides that does not mention the bound
-    name moves out (instances of the first scope axiom plus units). The
-    result is kept on p, so a raw step target that later targets share
-    is extruded once; it is built from p's subtrees, never from p, so
-    keeping it makes no reference cycle."""
+    name moves out (instances of the first scope axiom plus units). A
+    node the pass leaves unchanged is marked so; a node it rebuilds keeps
+    the result for the open `exploration`, so a raw step target that
+    later targets share is extruded once. The result is built from p's
+    subtrees, never from p, so keeping it makes no reference cycle."""
     ext = p._ext
     if ext is not None:
         return p if ext is True else ext
@@ -700,7 +730,11 @@ def _extrude(p: Process) -> Process:
             sides.append(side)
         if outer:
             node = par_all([Restrict(x, sides[0], sides[1])] + outer)
-    p._ext = True if node is p else node
+    if node is p:
+        p._ext = True
+    elif _scoped is not None:
+        p._ext = node
+        _scoped.append(p)
     return node
 
 

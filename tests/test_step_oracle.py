@@ -111,13 +111,15 @@ def test_alpha_equivalent_clients_are_searched_once():
 
 
 def _two_contexts(a, b, x):
-    """(a | b) stepped on its own, then the same node under a cut on x,
-    in one exploration."""
+    """(a | b) stepped under a cut on a fresh name, where all its names
+    are free, then the same node under a cut on x, in one exploration."""
     inner = canonicalize(Par(a, b))
+    y = Name(999, "y")
+    first = Restrict(y, inner, Wait(y, Inaction()))
     outer = Restrict(x, inner, Wait(x, Inaction()))
     with exploration():
-        assert _library(inner) == _reference(inner)
-        assert canonicalize(outer).left is inner
+        assert _library(first) == _reference(first)
+        assert canonicalize(first).left is canonicalize(outer).left is inner
         assert inner._steps is not None   # the memo is reused
         return _library(outer), _reference(outer)
 
