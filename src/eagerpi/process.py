@@ -477,7 +477,7 @@ def term_key(p: Process):
     return p._key if p._key is not None else _canonical(p)[1]
 
 
-def keyed_parts(p: Process, key=None):
+def keyed_parts(p: Process, key):
     """The parallel parts, sum parts or restriction sides of p (as
     `par_parts`, `sum_parts` and (left, right) list them) and their keys.
     A walk returns a node with a key that mirrors it: ("par", keys),
