@@ -231,7 +231,8 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
     over their union. In a cut graph an unexpanded state matches any state
     with its signature, a relation that is not transitive, so no partition
     expresses it: the greatest fixed point over the signature-equal pairs
-    decides there, and finds the witness when the roots' blocks differ.
+    reachable from the roots' pair decides there, and finds the witness
+    when the roots' blocks differ.
     """
     table, seen = {}, {}   # steps by key; one target object per key
 
@@ -253,7 +254,7 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
         if block[rp] == block[rq]:
             return BisimResult("bisimilar")
 
-    alive = {(a, b) for a in gp for b in gq if sigs[a] == sigs[b]}
+    alive = _pairs(rp, rq, gp, gq, sigs)
     reason = {}   # eliminated pair -> the move that eliminated it
 
     # Eliminations are only sound against a defender whose successor list
@@ -288,6 +289,22 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
 
     witness = _witness(rp, rq, gp, gq, sigs, reason)
     return BisimResult("distinguished", witness, cause)
+
+
+def _pairs(rp, rq, gp, gq, sigs):
+    """The signature-equal pairs reachable from (rp, rq) through pairs of
+    successors: whether a pair is eliminated depends only on the pairs of
+    its successors, so the fixpoint needs no other pair."""
+    alive = {(rp, rq)} if sigs[rp] == sigs[rq] else set()
+    todo = list(alive)
+    while todo:
+        a, b = todo.pop()
+        for _, a2 in gp[a].successors:
+            for _, b2 in gq[b].successors:
+                if sigs[a2] == sigs[b2] and (a2, b2) not in alive:
+                    alive.add((a2, b2))
+                    todo.append((a2, b2))
+    return alive
 
 
 def _refine(nodes, sigs):

@@ -16,42 +16,23 @@ from .names import NameSupply
 from .process import (Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
                       Select, Server, SomeAvail, Wait, make_branch, par_all)
-from .sessiontypes import (Bang, Bot, ExpectT, Maybe, One, Parr, Plus, Query,
-                           SessionType, Tensor, With, dual, plus, with_)
+from .sessiontypes import (ROWS, TOKEN, Bang, Bot, ExpectT, Maybe, One, Parr,
+                           Plus, Query, SessionType, Tensor, With, dual, row)
 
 _LABELS = ("a", "b", "c")
 
 
 def random_type(rng: random.Random, depth: int = 2) -> SessionType:
+    """A random session type: constructors drawn from the table `TOKEN`
+    down to `depth` levels, then `1` or `bot`; a labelled row has one or
+    two entries."""
     if depth <= 0:
-        return rng.choice((One(), Bot()))
-    kind = rng.choice(("one", "bot", "tensor", "parr", "plus", "with",
-                       "query", "bang", "maybe", "expectt"))
+        return rng.choice((One, Bot))()
+    cls = rng.choice(tuple(TOKEN))
     sub = lambda: random_type(rng, depth - 1)
-    match kind:
-        case "one":
-            return One()
-        case "bot":
-            return Bot()
-        case "tensor":
-            return Tensor(sub(), sub())
-        case "parr":
-            return Parr(sub(), sub())
-        case "plus":
-            n = rng.randint(1, 2)
-            return plus([(l, sub()) for l in _LABELS[:n]])
-        case "with":
-            n = rng.randint(1, 2)
-            return with_([(l, sub()) for l in _LABELS[:n]])
-        case "query":
-            return Query(sub())
-        case "bang":
-            return Bang(sub())
-        case "maybe":
-            return Maybe(sub())
-        case "expectt":
-            return ExpectT(sub())
-    raise AssertionError
+    if cls in ROWS:
+        return cls(row((l, sub()) for l in _LABELS[:rng.randint(1, 2)]))
+    return cls(*(sub() for _ in cls.__match_args__))
 
 
 def provider(rng: random.Random, x, t: SessionType, supply: NameSupply,

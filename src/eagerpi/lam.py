@@ -3,10 +3,10 @@
 Bags have a linear part (a multiset of terms, each consumed exactly once)
 and an unrestricted part (an ordered sequence of slots copied on use; a
 slot is either a term or empty, and indexing past the end reads as empty).
-Reduction is closed under evaluation contexts: the function position of an
-application, the subject of both explicit substitutions, and the subject
-of a sharing, but never under an abstraction, inside a bag, or under an
-intermediate substitution.
+Reduction is closed under evaluation contexts (`SPINE`): the function
+position of an application, the subject of both explicit substitutions,
+and the subject of a sharing, but never under an abstraction, inside a
+bag, or under an intermediate substitution.
 
 Variables reuse the unique-id Name type; binders are freshened whenever a
 rule copies a term, so fetching never captures. `BINDING` declares what
@@ -23,6 +23,7 @@ on it; `step_all` keys each reduct once, at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from . import graph
@@ -399,20 +400,28 @@ def _ordered(m, env, depth):
 # ---------------------------------------------------------------------------
 # Head and head substitution
 
+# The evaluation contexts: the constructors whose first field (the function
+# of an application, the subject of an explicit substitution or of a
+# sharing) is a reduction position. `_SPLIT` reads a node's fields in
+# order, so `head`, `head_substitute`, `_reducts` and `expansions` walk the
+# spine through this table alone.
+SPINE = (App, LinSub, UnrSub, Sharing)
+_SPLIT = {cls: attrgetter(*cls.__match_args__) for cls in SPINE}
+
+
 def head(m):
     """The head form: the spine end through applications, both explicit
     substitutions, and sharing (redirected to the sharing variable when the
     inner head is a shared alias). An intermediate substitution is its own
     head."""
-    match m:
-        case (LinVar(_) | UnrVar(_, _) | Abs(_, _) | Fail(_) | SuccessT()
-              | InterSub(_, _, _)):
+    split = _SPLIT.get(type(m))
+    if split is None:
+        if isinstance(m, Term):
             return m
-        case App(b, _) | LinSub(b, _, _) | UnrSub(b, _, _):
-            return head(b)
-        case Sharing(b, als, v):
-            return _shared_head(head(b), als, v)
-    raise TypeError(f"not a term: {m!r}")
+        raise TypeError(f"not a term: {m!r}")
+    b, *rest = split(m)
+    h = head(b)
+    return _shared_head(h, *rest) if isinstance(m, Sharing) else h
 
 
 def _shared_head(h, als, v):
@@ -427,23 +436,14 @@ class HeadMismatch(Exception):
 def head_substitute(m, repl, occ):
     """Replace exactly the head occurrence `occ` (a LinVar or UnrVar node
     value) with `repl`."""
-    match m:
-        case LinVar(v):
-            if isinstance(occ, LinVar) and v == occ.var:
-                return repl
-            raise HeadMismatch(m)
-        case UnrVar(v, i):
-            if isinstance(occ, UnrVar) and v == occ.var and i == occ.index:
-                return repl
-            raise HeadMismatch(m)
-        case App(f, bg):
-            return App(head_substitute(f, repl, occ), bg)
-        case LinSub(b, items, vs):
-            return LinSub(head_substitute(b, repl, occ), items, vs)
-        case UnrSub(b, slots, v):
-            return UnrSub(head_substitute(b, repl, occ), slots, v)
-        case Sharing(b, als, v):
-            return Sharing(head_substitute(b, repl, occ), als, v)
+    split = _SPLIT.get(type(m))
+    if split is not None:
+        b, *rest = split(m)
+        return type(m)(head_substitute(b, repl, occ), *rest)
+    if isinstance(m, (LinVar, UnrVar)) and type(occ) is type(m) \
+            and m.var == occ.var and (isinstance(m, LinVar)
+                                      or m.index == occ.index):
+        return repl
     raise HeadMismatch(m)
 
 
@@ -510,13 +510,10 @@ def _local_steps(m, h=None):
 def _reducts(m):
     """(all one-step reducts (rule tag, term), closed under the evaluation
     contexts, repeats included; head(m)), passing the head up the spine."""
-    match m:
-        case App(b, bg):
-            rest = (bg,)
-        case LinSub(b, r1, r2) | UnrSub(b, r1, r2) | Sharing(b, r1, r2):
-            rest = (r1, r2)
-        case _:
-            return _local_steps(m, m), m
+    split = _SPLIT.get(type(m))
+    if split is None:
+        return _local_steps(m, m), m
+    b, *rest = split(m)
     inner, h = _reducts(b)
     if isinstance(m, Sharing):
         h = _shared_head(h, *rest)
@@ -569,34 +566,18 @@ def expansions(m, supply: Optional[NameSupply] = None):
     (an intermediate substitution came from an application of an
     abstraction) and the substitution-splitting rule (a linear-over-
     unrestricted substitution pair came from an intermediate substitution
-    over a sharing)."""
-    preds = []
-
-    def rebuild_here(t):
-        out = []
-        match t:
-            case InterSub(b, bg, v):
-                out.append(App(Abs(v, b), bg))
-            case UnrSub(LinSub(b, items, vs), slots, v) \
-                    if len(items) == len(vs) and not isinstance(b, Fail):
-                sh = Sharing(b, vs, v)
-                out.append(InterSub(sh, Bag(items, slots), v))
-        return out
-
-    def go(t, wrap):
-        for cand in rebuild_here(t):
-            preds.append(wrap(cand))
-        match t:
-            case App(f, bg):
-                go(f, lambda r: wrap(App(r, bg)))
-            case LinSub(b, items, vs):
-                go(b, lambda r: wrap(LinSub(r, items, vs)))
-            case UnrSub(b, slots, v):
-                go(b, lambda r: wrap(UnrSub(r, slots, v)))
-            case Sharing(b, als, v):
-                go(b, lambda r: wrap(Sharing(r, als, v)))
-            case _:
-                pass
-
-    go(m, lambda r: r)
+    over a sharing): those at m's root, then those under each evaluation
+    context down the spine."""
+    match m:
+        case InterSub(b, bg, v):
+            preds = [App(Abs(v, b), bg)]
+        case UnrSub(LinSub(b, items, vs), slots, v) \
+                if len(items) == len(vs) and not isinstance(b, Fail):
+            preds = [InterSub(Sharing(b, vs, v), Bag(items, slots), v)]
+        case _:
+            preds = []
+    split = _SPLIT.get(type(m))
+    if split is not None:
+        b, *rest = split(m)
+        preds += [type(m)(r, *rest) for r in expansions(b)]
     return preds

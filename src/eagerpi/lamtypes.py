@@ -86,6 +86,7 @@ def resolve(t):
 
 
 def unify(t1, t2, where=""):
+    """Unify two strict types, two multiplicities or two list types."""
     t1, t2 = resolve(t1), resolve(t2)
     if t1 is t2:
         return
@@ -99,38 +100,27 @@ def unify(t1, t2, where=""):
         case (UnitT(), UnitT()):
             return
         case (ArrowT(m1, l1, g1), ArrowT(m2, l2, g2)):
-            unify_mult(m1, m2, where)
-            unify_list(l1, l2, where)
+            unify(m1, m2, where)
+            unify(l1, l2, where)
             unify(g1, g2, where)
+            return
+        case (Mult(b1, k1), Mult(b2, k2)):
+            if k1 != k2:
+                raise LamTypeError("TypeMismatch", f"multiset sizes {k1} "
+                                   f"and {k2} differ at {where}")
+            if k1 > 0:
+                unify(b1, b2, where)
+            return
+        case (tuple(), tuple()):
+            if len(t1) != len(t2):
+                raise LamTypeError("TypeMismatch", f"list types of lengths "
+                                   f"{len(t1)} and {len(t2)} differ at {where}")
+            for a, b in zip(t1, t2):
+                unify(a, b, where)
             return
     metas = {}
     raise LamTypeError("TypeMismatch", f"expected {show(t1, metas)}, found "
                        f"{show(t2, metas)} at {where}")
-
-
-def unify_mult(m1, m2, where=""):
-    if m1.count != m2.count:
-        raise LamTypeError("TypeMismatch",
-                           f"multiset sizes {m1.count} and {m2.count} differ at {where}")
-    if m1.count > 0:
-        unify(m1.base, m2.base, where)
-
-
-def unify_list(l1, l2, where=""):
-    l1, l2 = resolve(l1), resolve(l2)
-    if l1 is l2:
-        return
-    if isinstance(l1, MetaList):
-        l1.ref = l2
-        return
-    if isinstance(l2, MetaList):
-        l2.ref = l1
-        return
-    if len(l1) != len(l2):
-        raise LamTypeError("TypeMismatch",
-                           f"list types of lengths {len(l1)} and {len(l2)} differ at {where}")
-    for a, b in zip(l1, l2):
-        unify(a, b, where)
 
 
 def embraces(required, available) -> bool:
@@ -142,22 +132,17 @@ def embraces(required, available) -> bool:
 
 
 def zonk(t):
+    """t with every bound metavariable replaced by its binding, for a
+    strict type, a multiplicity or a list type."""
     t = resolve(t)
     match t:
         case ArrowT(m, l, g):
-            return ArrowT(zonk_mult(m), zonk_list(l), zonk(g))
+            return ArrowT(zonk(m), zonk(l), zonk(g))
+        case Mult(b, k):
+            return Mult(None if k == 0 else zonk(b), k)
+        case tuple():
+            return tuple(map(zonk, t))
     return t
-
-
-def zonk_mult(m):
-    return Mult(None if m.count == 0 else zonk(m.base), m.count)
-
-
-def zonk_list(l):
-    l = resolve(l)
-    if isinstance(l, MetaList):
-        return l
-    return tuple(zonk(t) for t in l)
 
 
 def show(t, metas: Optional[dict] = None):
@@ -257,17 +242,8 @@ class LamChecker:
 
     def _check(self, m, tau, env, theta):
         match m:
-            case L.LinVar(v):
-                kind, t = env[v]
-                if kind != "strict":
-                    self.err("TypeMismatch",
-                             f"{v.display} holds a multiset, found at a linear occurrence")
-                unify(t, tau, f"variable {v.display}")
-            case L.UnrVar(v, i):
-                if v not in theta:
-                    self.err("UnboundVariable",
-                             f"{v.display} not in the unrestricted context")
-                self.pending.append(("index", theta[v], i, tau, f"{v.display}[{i}]"))
+            case L.LinVar(v) | L.UnrVar(v, _):
+                unify(self._synth(m, env, theta), tau, f"variable {v.display}")
             case L.SuccessT():
                 self.err("TypeMismatch", "the success constant is untyped")
             case L.Fail(vs):
@@ -423,7 +399,7 @@ class LamChecker:
             if c[0] in ("embrace", "eqlist"):
                 eta = resolve(c[1])
                 if isinstance(eta, MetaList):
-                    unify_list(eta, tuple(resolve(t) for t in c[2]), c[3])
+                    unify(eta, tuple(resolve(t) for t in c[2]), c[3])
         # unrestricted contexts only constrained by their indices get the
         # shortest list covering every index used
         need = {}
@@ -486,10 +462,10 @@ class LamChecker:
             if isinstance(eta, MetaList):
                 if not force:
                     return False
-                unify_list(eta, tuple(resolve(t) for t in eps), where)
+                unify(eta, tuple(resolve(t) for t in eps), where)
                 return True
             if kind == "eqlist":
-                unify_list(eta, tuple(eps), where)
+                unify(eta, tuple(eps), where)
                 return True
             if len(eps) < len(eta):
                 self.err("EmbracesFailure",

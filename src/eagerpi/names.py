@@ -1,8 +1,11 @@
-"""Channel names with globally unique identities.
+"""Channel names: an id drawn from a supply, and a display.
 
 Binders are freshened at every introduction (parse, rule instantiation,
-copy), so a name's id never collides with another binder's id. The display
-string is a hint for printing only; identity is the id.
+copy) from the supply at hand. Equality and hashing compare the id and the
+display together: supplies are not shared, and the translation of a λ term
+draws from a fresh `NameSupply(1)` that restarts at 1 while the term's
+variables keep the parser's ids, so one id can carry two displays in one
+process. Printing reads the display.
 """
 
 from __future__ import annotations

@@ -667,19 +667,23 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
         case Success():
             return p, ("ok",)
         case NDChoice(_, _):
+            # one part per congruence class: a key spells a free name by
+            # its display, so a part merges only into an alike one
             seen = {}
             for q in sum_parts(p):
                 cq, kq = _walk(q, env, depth, swap)
                 pairs = (zip(sum_parts(cq), kq[1])
                          if isinstance(cq, NDChoice) else ((cq, kq),))
                 for c, k in pairs:
-                    seen.setdefault(k, c)
-            keys = sorted(seen)
-            if len(keys) == 1:
-                return seen[keys[0]], keys[0]
-            forms = [seen[k] for k in keys]
+                    kept = seen.setdefault(k, [])
+                    if not any(c is e or alike(c, k, e, k) for e in kept):
+                        kept.append(c)
+            items = [(c, k) for k in sorted(seen) for c in seen[k]]
+            if len(items) == 1:
+                return items[0]
+            forms = [c for c, _ in items]
             return (p if _is_chain(p, NDChoice, forms) else sum_all(forms),
-                    ("sum", tuple(keys)))
+                    ("sum", tuple(k for _, k in items)))
         case Branch(x, brs):
             ordered = tuple(sorted(brs, key=lambda kv: kv[0]))
             labels = [lab for lab, _ in ordered]
@@ -809,8 +813,9 @@ def struct_congruent(p: Process, q: Process, bound: int = 4) -> bool:
     """Decide P == Q by canonicalization plus a bounded bidirectional
     search over the two scope-rearrangement axioms.
 
-    Sound always; complete on terms whose scope-rewrite distance is
-    within `bound`.
+    Sound always. Each of the `bound` rounds takes both frontiers one
+    rewrite further and the two searches meet from both ends, so it is
+    complete on terms whose scope-rewrite distance is within 2·`bound`.
     """
     cp, cq = scope_normalize(p), scope_normalize(q)
     kp, kq = term_key(cp), term_key(cq)

@@ -93,7 +93,9 @@ def with_(items) -> With:
 # node's components (a labelled row's entry types, under its labels), so
 # `dual` here and `zonk`, `_occurs`, `_default` and `unify` in `typecheck`
 # need no case per constructor. `TOKEN` is each constructor's token in the
-# concrete syntax, which the parser reads and the printer writes.
+# concrete syntax, which the parser reads and the printer writes;
+# `gen.random_type` draws constructors in its order, so reordering it
+# changes every generated process.
 DUAL = {}
 for _a, _b in ((One, Bot), (Tensor, Parr), (Plus, With), (Query, Bang),
                (Maybe, ExpectT)):

@@ -1,9 +1,11 @@
-"""The one-step reducts of every corpus process, as the CLI prints them.
+"""The one-step reducts of every corpus process and term, as the CLI prints
+them.
 
 Prints `eagerpi step FILE NAME --all --json` for every definition of
-`corpus/movie.spi`, `vm.spi` and `generated.spi`, each definition's lines
-after a header line naming it. The order of the steps is CLI output, so
-two runs under different hash seeds must print the same text:
+`corpus/movie.spi`, `vm.spi`, `generated.spi`, `corr.lc` and `ex32.lc`,
+each definition's lines after a header line naming it. The order of the
+steps is CLI output, so two runs under different hash seeds must print the
+same text:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/step_lists.py > a.txt
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/step_lists.py > b.txt
@@ -17,14 +19,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
 from eagerpi.cli import main as cli  # noqa: E402
-from tests.conftest import corpus_path, load_spi  # noqa: E402
+from tests.conftest import corpus_path, load_lc, load_spi  # noqa: E402
 
-FILES = ("movie.spi", "vm.spi", "generated.spi")
+FILES = ("movie.spi", "vm.spi", "generated.spi", "corr.lc", "ex32.lc")
 
 
 def main():
     for file in FILES:
-        for name in load_spi(file).defs:
+        load = load_lc if file.endswith(".lc") else load_spi
+        for name in load(file).defs:
             print(f"-- {file} {name}", flush=True)
             code = cli(["step", corpus_path(file), name, "--all", "--json"])
             if code:

@@ -2,6 +2,7 @@
 bisimilarity, and success predicates."""
 
 import random
+from itertools import islice
 
 from eagerpi.equivalence import (Prefix, bisim_eager, nd_precongruence,
                                  prefix_compatible, ready_prefixes,
@@ -10,7 +11,8 @@ from eagerpi.gen import generate_process
 from eagerpi.names import NameSupply
 from eagerpi.parser import parse_spi
 from eagerpi.process import (Close, Inaction, NDChoice, Par, Restrict,
-                             SomeAvail, Success, Wait)
+                             SomeAvail, Success, Wait, canonicalize,
+                             scope_rewrites)
 
 s = NameSupply(1)
 x, y, z = s.fresh("x"), s.fresh("y"), s.fresh("z")
@@ -165,6 +167,20 @@ def Loop = new x (!x?(y). ?x!(z). ?z!(v). close v | ?x!(w). ?w!(v). close v)
     assert (res.verdict, res.cause) == ("inconclusive", "depth")
     res = bisim_eager(p, p, depth=64, max_states=40)
     assert (res.verdict, res.cause) == ("inconclusive", "states")
+
+
+def test_bisim_cut_at_the_default_depth_stays_inconclusive(generated):
+    # G005 against its second scope rewrite: at the default depth 12 each
+    # graph is cut one step short of complete, so the pair fixpoint (over
+    # the pairs reachable from the roots' pair) decides nothing, and the
+    # result names the depth; at depth 64 both graphs are complete
+    p = generated.defs["G005"][0]
+    r = list(islice(scope_rewrites(canonicalize(p)), 2))[1]
+    res = bisim_eager(p, r)
+    assert (res.verdict, res.cause, res.witness) == \
+        ("inconclusive", "depth", None)
+    res = bisim_eager(p, r, depth=64)
+    assert (res.verdict, res.cause) == ("bisimilar", "none")
 
 
 def test_success_predicates():

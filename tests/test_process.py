@@ -7,7 +7,8 @@ process as written; `term_key` keys its canonical form."""
 import random
 
 from eagerpi.gen import generate_corpus
-from eagerpi.names import NameSupply
+from eagerpi.names import Name, NameSupply
+from eagerpi.printer import process_text
 from eagerpi.process import (Close, Forward, Inaction, Input, NDChoice, Par,
                              Restrict, Server, Success, Wait, canonicalize,
                              free_name_split, free_names, freshen_binders,
@@ -63,6 +64,21 @@ def test_canonicalize_par_unit():
 def test_canonicalize_sum_idempotent_axiom():
     p = NDChoice(Close(x), Close(x))
     assert ref.term_key(canonicalize(p)) == ref.term_key(Close(x))
+
+
+def test_canonicalize_sum_keeps_branches_on_names_of_one_display():
+    # a key spells a free name by its display, so close x#1 and close x#2
+    # share one key; they are still different branches
+    x1, x2 = Name(1, "x"), Name(2, "x")
+    kept = canonicalize(NDChoice(Close(x1), Close(x2)))
+    assert isinstance(kept, NDChoice)
+    assert {kept.left.x, kept.right.x} == {x1, x2}
+    # equal names still merge, from two nodes as from one
+    n = Name(1, "n")
+    assert process_text(canonicalize(NDChoice(Close(n), Close(n)))) \
+        == "close n"
+    c = Close(n)
+    assert canonicalize(NDChoice(c, c)) is c
 
 
 def test_canonicalize_server_gc():
