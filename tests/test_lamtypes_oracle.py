@@ -7,8 +7,9 @@ The terms are every subterm of each `corr.lc` and `ex32.lc` definition and
 of the benchmark's lambda family, of their one-step reducts and of their
 expansions. Each is checked by `check_wf` and `check_wt` under seeded
 random contexts: its linear free variables, in (id, display) order, get a
-strict type or a multiplicity, its other free variables a list type, and
-the goal a strict type, some of them metavariables. Both checkers must
+strict type or a multiplicity, all its free variables a list type (for
+their unrestricted occurrences), and the goal a strict type, some of them
+metavariables. Both checkers must
 accept, or raise the same error with the same text once metavariable
 numbers are taken out.
 """
@@ -58,7 +59,7 @@ def _context(seed, m):
         else:
             k = rng.randint(0, 2)
             gamma[v] = Mult(_strict(rng, 1) if k else None, k)
-    theta = {v: _list(rng, 2) for v in order(L.free_vars(m) - linear)}
+    theta = {v: _list(rng, 2) for v in order(L.free_vars(m))}
     return theta, gamma, _strict(rng, 3)
 
 
