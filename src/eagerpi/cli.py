@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 semantic failure (type error, distinguished,
 missing witness), 2 unusable input (parse error, missing file or name,
-invalid argument, input nested too deeply), 3 inconclusive. Every command
+invalid argument, input nested too deeply), 3 inconclusive (a bound cut
+the search, or a translation would be too large). Every command
 accepts --json to emit line-delimited records instead of prose. The
 environment variable EAGERPI_MAX_STATES (a positive integer) caps
 state-space sizes.
@@ -24,7 +25,8 @@ from .names import NameSupply
 from .parser import (MAX_NESTING, ParseError, _Cursor, parse_context,
                      parse_lc, parse_spi, tokenize)
 from .printer import ctx_text, lam_text, process_text
-from .translate import Translator, translate_contexts, translate_strict
+from .translate import (TranslationTooLarge, Translator, check_size,
+                        translate_contexts, translate_strict)
 from .typecheck import SessionTypeError, infer_context, typecheck
 
 
@@ -129,15 +131,16 @@ def _def(src, name):
 
 def _records(g):
     """A trace's records, its nodes numbered in discovery order: node,
-    parent (the first node found to step to it), rule, cut, term, depth
-    and whether the bound stopped it with steps left."""
+    parent (the node the walk came from when it first reached it; none
+    for the root), the rule and cut of that step, term, depth and whether
+    the bound stopped it with steps left."""
     ids = {k: i for i, k in enumerate(g.nodes)}
-    parents = {}
-    for n in g.nodes.values():
-        for label, child in n.successors:
-            parents.setdefault(child, (ids[n.key], label))
     for k, n in g.nodes.items():
-        parent, label = parents.get(k, (None, ""))
+        parent, label = None, ""
+        if n.parent is not None:
+            parent = ids[n.parent]
+            label = next(lab for lab, c in g.nodes[n.parent].successors
+                         if c == k)
         rule, _, cut = label.partition("@")
         yield {"node": ids[k], "parent": parent, "rule": rule, "cut": cut,
                "term": process_text(n.state, canonical=True),
@@ -218,6 +221,7 @@ def cmd_translate(args):
         print("translate expects a .lc file", file=sys.stderr)
         return 2
     term = _def(src, args.name)
+    check_size(term)
     tr = Translator(NameSupply(args.seed or 1))
     u = tr.supply.fresh("u")
     proc = tr.term(term, u)
@@ -348,6 +352,9 @@ def main(argv=None):
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
         return 2
+    except TranslationTooLarge as e:
+        print(str(e), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

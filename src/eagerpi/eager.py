@@ -216,7 +216,8 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
             raise ValueError(f"unknown strategy {strategy!r}")
         k = term_key(st.target)
         if k not in nodes:
-            nodes[k] = graph.Node(k, st.target, node.depth + 1)
+            nodes[k] = graph.Node(k, st.target, node.depth + 1,
+                                  parent=node.key)
         node.successors.append((_label(st), k))
         node = nodes[k]
     else:

@@ -36,7 +36,7 @@ from .names import Name, NameSupply
 from .process import (PREFIXED, NDChoice, Par, Process, Restrict, Success,
                       canonicalize, free_names, par_all, par_parts,
                       scope_normalize, sum_parts, term_key)
-from .translate import Translator
+from .translate import Translator, check_size
 
 
 @dataclass(frozen=True)
@@ -365,6 +365,7 @@ def _translate_fresh(m, u_display="u"):
     order (`lam.key_ordered`), so that terms with equal `lam_key`, which
     the lambda graph keeps one of, translate to processes equal up to
     canonical forms."""
+    check_size(m)
     tr = Translator(NameSupply(1))
     u = tr.supply.fresh(u_display)
     return scope_normalize(tr.term(L.key_ordered(m), u))

@@ -86,16 +86,20 @@ def resolve(t):
 
 
 def unify(t1, t2, where=""):
-    """Unify two strict types, two multiplicities or two list types."""
+    """Unify two strict types, two multiplicities or two list types. A
+    metavariable is never bound to a type that holds it (occurs check)."""
     t1, t2 = resolve(t1), resolve(t2)
     if t1 is t2:
         return
-    if isinstance(t1, (MetaS, MetaList)):
-        t1.ref = t2
-        return
-    if isinstance(t2, (MetaS, MetaList)):
-        t2.ref = t1
-        return
+    for m, t in ((t1, t2), (t2, t1)):
+        if isinstance(m, (MetaS, MetaList)):
+            if _occurs(m, t):
+                metas = {}
+                raise LamTypeError("TypeMismatch", f"cyclic type: "
+                                   f"{show(m, metas)} occurs in "
+                                   f"{show(t, metas)} at {where}")
+            m.ref = t
+            return
     match t1, t2:
         case (UnitT(), UnitT()):
             return
@@ -121,6 +125,19 @@ def unify(t1, t2, where=""):
     metas = {}
     raise LamTypeError("TypeMismatch", f"expected {show(t1, metas)}, found "
                        f"{show(t2, metas)} at {where}")
+
+
+def _occurs(m, t) -> bool:
+    """Whether metavariable m occurs in t."""
+    t = resolve(t)
+    match t:
+        case ArrowT(mult, lst, target):
+            return _occurs(m, mult) or _occurs(m, lst) or _occurs(m, target)
+        case Mult(b, k):
+            return k > 0 and _occurs(m, b)
+        case tuple():
+            return any(_occurs(m, x) for x in t)
+    return t is m
 
 
 def embraces(required, available) -> bool:

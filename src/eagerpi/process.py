@@ -20,32 +20,38 @@ of a process's canonical form, which the canonical walk computes with de
 Bruijn levels for bound names and display strings for free names, and
 every set-like operation (canonical sorting, reduct deduplication, state
 spaces) keys on it. `scope_normalize` adds the scope axioms for state
-identity: one unkeyed extrusion pass, then one canonical walk in scope
-mode, which takes the least-keyed restriction swap at every restriction.
+identity: one canonical walk in scope mode, which flattens each maximal
+`|`/`new` spine (a cluster) to its binders and threads and rebuilds it
+as a canonical cut tree (`_cluster`). That form is exact: two processes
+are congruent iff their scope-normal keys are equal, which is all
+`struct_congruent` checks.
 
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
-on it, in slots: its free-name set, whether it holds a restriction,
-whether `_extrude` leaves it unchanged, on a canonical form its key at
-the root, and the memo of the canonical walk `_walk`. Two more are kept
-only for the open `exploration` and dropped when it ends: its local
-steps (`eager._local_steps`) and the node `_extrude` built from it, if
-any. The walk computes each node's key once, bottom-up, and a parent
-sorts, deduplicates and orients its children by the keys they returned.
-A node already in canonical form is returned as it is and keeps, for
-each context it was walked in (depth, levels of its free names, swap if
-it holds a restriction), its key, so a subtree that a step left alone is
-not walked again. An entry holds only a context and a key, never a node:
-an entry naming its own node would put the node in a reference cycle,
-which only the cycle collector frees. Equal contexts and name keys are
-one shared tuple, to keep entries small.
+on it, in slots: its free-name set, whether it holds a restriction, on a
+canonical form its key at the root, and the memo of the canonical walk
+`_walk`. Two more are kept only for the open `exploration` and dropped
+when it ends: its local steps (`eager._local_steps`) and, on a node not
+in its form, the form and key its last walk returned, so that a raw step
+target that later targets share is normalized once (the form is built
+from the node's subtrees, never from the node, so this makes no
+reference cycle). The walk computes
+each node's key once, bottom-up, and a parent sorts, deduplicates and
+orients its children by the keys they returned. A node already in
+canonical form is returned as it is and keeps, for each context it was
+walked in (depth, levels of its free names, scope mode if it holds a
+restriction), its key, so a subtree or a cluster that a step left alone
+is not walked again. An entry holds only a context and a key, never a
+node: an entry naming its own node would put the node in a reference
+cycle, which only the cycle collector frees. Equal contexts and name keys
+are one shared tuple, to keep entries small.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from .names import Name, NameSupply, fresh_name
@@ -57,8 +63,8 @@ _scoped = None   # the nodes holding memos of the open exploration
 @contextmanager
 def exploration():
     """Share the memos of one exploration among the states it visits,
-    which share subtrees: each node's local steps and the node `_extrude`
-    built from it. When the outermost exploration ends, those memos are
+    which share subtrees: each node's local steps and the form of its
+    last walk. When the outermost exploration ends, those memos are
     dropped: none outlives the exploration that made it, so exploring an
     input again repeats the same work and no input keeps the targets it
     once had."""
@@ -71,18 +77,16 @@ def exploration():
         yield
     finally:
         for p in _scoped:
-            p._steps = None
-            if p._ext is not True:
-                p._ext = None
+            p._steps = p._form = None
         _scoped = None
 
 
 class Process:
-    __slots__ = ("_fn", "_key", "_memo", "_ext", "_res", "_steps")
+    __slots__ = ("_fn", "_key", "_memo", "_res", "_steps", "_form")
 
     def __post_init__(self):
-        self._fn = self._key = self._memo = self._ext = self._res = None
-        self._steps = None
+        self._fn = self._key = self._memo = self._res = self._steps = None
+        self._form = None
 
 
 @dataclass(eq=False, slots=True)
@@ -519,10 +523,9 @@ def canonicalize(p: Process) -> Process:
     deduplicated; `P | 0` units dropped; forwarders oriented; restriction
     argument order normalized; unused servers garbage-collected.
 
-    The two scope-rearrangement axioms are *not* applied here; they are
-    explored by the bounded search in `struct_congruent`. Sorting keys are
-    computed relative to the enclosing binders, so same-display bound
-    names keep their identity.
+    The two scope-rearrangement axioms are *not* applied here;
+    `scope_normalize` adds them. Sorting keys are computed relative to the
+    enclosing binders, so same-display bound names keep their identity.
     """
     return _canonical(p)[0]
 
@@ -537,33 +540,55 @@ _TAGS = {Input: "in", Client: "cli", Server: "srv", Wait: "wait",
          SomeAvail: "psome"}
 
 
-def _walk(p: Process, env: dict, depth: int, swap: bool):
+def _walk(p: Process, env: dict, depth: int, scope: bool):
     """(canonical form of p, its key), with the binders of `env` open at
     levels below `depth`. The key serializes the form with each bound name
     as its binder's level and each free name as its display string;
     `tests/reference_canon.term_key` spells the format out and checks it.
 
     A parent sorts, deduplicates and orients its children by the keys they
-    returned, so no subtree is keyed twice. With `swap` (scope mode) p must
-    be extruded, and every restriction also takes the least-keyed instance
-    of the swap axiom. A winning candidate, or a restriction whose side lost
-    a use of its name to a collected server, is extruded and walked again
-    in scope mode, so the result needs no further pass. A node already in
-    its form is returned as it is, and its key is memoised on it for the
-    context it was walked in.
+    returned, so no subtree is keyed twice. In `scope` mode a restriction
+    roots a cluster, its maximal `|`/`new` spine, which `_cluster` brings
+    to its scope-normal form; the parts of a parallel share no binder, so
+    they are walked one by one. A node already in its form is returned as
+    it is, and its key is memoised on it for the context it was walked
+    in; in an `exploration`, another node keeps the form it walked to.
     """
-    if depth == 0 and not swap and p._key is not None:
+    if depth == 0 and not scope and p._key is not None:
         return p, p._key
-    ctx = (depth, swap and _has_restrict(p), *map(env.get, free_names(p)))
+    scope = scope and _has_restrict(p)
+    ctx = (depth, scope, *map(env.get, free_names(p)))
     ctx = _SHARED.setdefault(ctx, ctx)
     memo = p._memo or ()
     for i in range(0, len(memo), 2):
         if memo[i] == ctx:
             return p, memo[i + 1]
-    node, key = _walk_node(p, env, depth, swap)
+    if p._form is not None and p._form[0] is ctx:
+        return p._form[1]
+    if scope and type(p) is Restrict and not _simple(p):
+        node, key = _cluster(p, env, depth)
+    else:
+        node, key = _walk_node(p, env, depth, scope)
     if node is p:
         p._memo = memo + (ctx, key)
+    elif _scoped is not None:
+        p._form = ctx, (node, key)
+        _scoped.append(p)
     return node, key
+
+
+_SHAPED = (Par, Restrict, NDChoice)  # may walk to a spine
+
+
+def _simple(p: Restrict) -> bool:
+    """Whether the walk of a cut's node keys its scope-normal form: one
+    side is an unused server (collected), or both sides are threads that
+    hold its name (a side that loses it to a collected server sends the
+    cut to `_cluster` then)."""
+    l, r, x = p.left, p.right, p.x
+    return any(type(s) is Server and s.x == x and x not in free_names(o)
+               for s, o in ((l, r), (r, l))) or all(
+        type(s) not in _SHAPED and x in free_names(s) for s in (l, r))
 
 
 def _has_restrict(p: Process) -> bool:
@@ -582,63 +607,51 @@ def _is_chain(p: Process, cls, parts) -> bool:
     return p is parts[-1]
 
 
-def _walk_node(p: Process, env: dict, depth: int, swap: bool):
+def _walk_node(p: Process, env: dict, depth: int, scope: bool):
     # cases in order of frequency in translated states
     match p:
         case Wait(x, c) | SomeAvail(x, c):
-            cc, kc = _walk(c, env, depth, swap)
+            cc, kc = _walk(c, env, depth, scope)
             node = p if cc is c else type(p)(x, cc)
             return node, (_TAGS[type(p)], name_key(x, env), kc)
         case Expect(x, deps, c):
-            cc, kc = _walk(c, env, depth, swap)
+            cc, kc = _walk(c, env, depth, scope)
             deps2 = deps if len(deps) < 2 else tuple(
                 sorted(set(deps), key=lambda n: name_key(n, env)))
             node = p if cc is c and deps2 == deps else Expect(x, deps2, cc)
             return node, ("exp", name_key(x, env),
                           tuple(name_key(n, env) for n in deps2), kc)
         case Input(x, y, c) | Client(x, y, c) | Server(x, y, c):
-            cc, kc = _walk(c, {**env, y: depth}, depth + 1, swap)
+            cc, kc = _walk(c, {**env, y: depth}, depth + 1, scope)
             node = p if cc is c else type(p)(x, y, cc)
             return node, (_TAGS[type(p)], name_key(x, env), kc)
         case NoneAvail(x):
             return p, ("pnone", name_key(x, env))
         case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            cl, kl = _walk(l, env2, depth + 1, swap)
-            cr, kr = _walk(r, env2, depth + 1, swap)
             # an unused server is garbage; the survivor moves up one level
+            for srv, other in ((l, r), (r, l)):
+                if type(srv) is Server and srv.x == x \
+                        and x not in free_names(other):
+                    return _walk(other, env, depth, scope)
+            env2 = {**env, x: depth}
+            cl, kl = _walk(l, env2, depth + 1, scope)
+            cr, kr = _walk(r, env2, depth + 1, scope)
+            if scope and (x not in free_names(cl) or x not in free_names(cr)):
+                # a side collected the server that held its last use of x
+                return _cluster(Restrict(x, cl, cr), env, depth)
+            # a side that walked to an unused server
             for srv, other in ((cl, cr), (cr, cl)):
                 if isinstance(srv, Server) and srv.x == x \
                         and x not in free_names(other):
-                    return _walk(other, env, depth, swap)
-            # a server collected in a side took a part's last use of x: the
-            # part moves out (once: walked parts hold no more garbage)
-            if swap and (cl is not l or cr is not r) and any(
-                    x not in free_names(c) and not isinstance(c, Inaction)
-                    for side in (cl, cr) for c in par_parts(side)):
-                return _walk(_extrude(Restrict(x, cl, cr)), env, depth, True)
+                    return _walk(other, env, depth, scope)
             if kr < kl:
                 cl, kl, cr, kr = cr, kr, cl, kl
             node = p if cl is l and cr is r else Restrict(x, cl, cr)
-            key = ("res", kl, kr)
-            if swap:
-                best = None
-                for cand in _swap_candidates(node):
-                    c, k = _walk(cand, env, depth, False)
-                    if k < key:
-                        best, key = c, k
-                if best is not None:
-                    # Memoised subtrees come back unwalked, so this keys
-                    # only the spine the swap built. It stops: it starts on
-                    # a strict key decrease, and on every oracle input it
-                    # returned a key no higher than best's, so keys here
-                    # fall over finitely many scope arrangements.
-                    return _walk(_extrude(best), env, depth, True)
-            return node, key
+            return node, ("res", kl, kr)
         case Output(x, y, pl, c):
             env2 = {**env, y: depth}
-            cpl, kpl = _walk(pl, env2, depth + 1, swap)
-            cc, kc = _walk(c, env2, depth + 1, swap)
+            cpl, kpl = _walk(pl, env2, depth + 1, scope)
+            cc, kc = _walk(c, env2, depth + 1, scope)
             node = p if cpl is pl and cc is c else Output(x, y, cpl, cc)
             return node, ("out", name_key(x, env), kpl, kc)
         case Forward(x, y):
@@ -649,8 +662,8 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
         case Par(_, _):
             items = []
             for q in par_parts(p):
-                cq, kq = _walk(q, env, depth, swap)
-                if isinstance(cq, Par):   # a survivor or an extruded swap
+                cq, kq = _walk(q, env, depth, scope)
+                if isinstance(cq, Par):   # a survivor of a collected server
                     items.extend(zip(par_parts(cq), kq[1]))
                 elif not isinstance(cq, Inaction):
                     items.append((cq, kq))
@@ -671,7 +684,7 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
             # its display, so a part merges only into an alike one
             seen = {}
             for q in sum_parts(p):
-                cq, kq = _walk(q, env, depth, swap)
+                cq, kq = _walk(q, env, depth, scope)
                 pairs = (zip(sum_parts(cq), kq[1])
                          if isinstance(cq, NDChoice) else ((cq, kq),))
                 for c, k in pairs:
@@ -687,13 +700,13 @@ def _walk_node(p: Process, env: dict, depth: int, swap: bool):
         case Branch(x, brs):
             ordered = tuple(sorted(brs, key=lambda kv: kv[0]))
             labels = [lab for lab, _ in ordered]
-            walked = [_walk(q, env, depth, swap) for _, q in ordered]
+            walked = [_walk(q, env, depth, scope) for _, q in ordered]
             forms = tuple(zip(labels, (c for c, _ in walked)))
             node = p if forms == brs else Branch(x, forms)
             return node, ("bra", name_key(x, env),
                           tuple(zip(labels, (k for _, k in walked))))
         case Select(x, lab, c):
-            cc, kc = _walk(c, env, depth, swap)
+            cc, kc = _walk(c, env, depth, scope)
             node = p if cc is c else Select(x, lab, cc)
             return node, ("sel", name_key(x, env), lab, kc)
     raise TypeError(f"not a process: {p!r}")
@@ -708,69 +721,272 @@ def is_inert(p: Process) -> bool:
 # ---------------------------------------------------------------------------
 # Scope normalization for state identity
 
-def _extrude(p: Process) -> Process:
-    """One bottom-up pass of maximal scope extrusion: every parallel
-    component of a restriction's sides that does not mention the bound
-    name moves out (instances of the first scope axiom plus units). A
-    node the pass leaves unchanged is marked so; a node it rebuilds keeps
-    the result for the open `exploration`, so a raw step target that
-    later targets share is extruded once. The result is built from p's
-    subtrees, never from p, so keeping it makes no reference cycle."""
-    ext = p._ext
-    if ext is not None:
-        return p if ext is True else ext
-    kids = _children(p)
-    new = tuple(map(_extrude, kids))
-    node = p if all(map(is_, kids, new)) else _with_children(p, new)
-    if isinstance(node, Restrict):
-        x = node.x
-        outer, sides = [], []
-        for side in (node.left, node.right):
-            parts = par_parts(side)
-            keep = [c for c in parts if x in free_names(c)]
-            if len(keep) < len(parts):
-                outer += [c for c in parts if x not in free_names(c)]
-                side = par_all(keep)
-            sides.append(side)
-        if outer:
-            node = par_all([Restrict(x, sides[0], sides[1])] + outer)
-    if node is p:
-        p._ext = True
-    elif _scoped is not None:
-        p._ext = node
-        _scoped.append(p)
-    return node
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
 
 
-def _swap_candidates(p: Restrict):
-    """Applications of the nested-restriction swap axiom at this node:
-    new x (new y (P|Q) | R) == new y (new x (P|R) | Q)."""
-    x = p.x
-    for a, b in ((p.left, p.right), (p.right, p.left)):
-        if not isinstance(a, Restrict):
-            continue
-        y = a.x
-        for inner_keep, inner_move in ((a.left, a.right), (a.right, a.left)):
-            if x not in free_names(inner_move) and y not in free_names(b):
-                yield Restrict(y, Restrict(x, inner_keep, b), inner_move)
+def _is_scoped(p: Process) -> bool:
+    """Whether p is known to be in scope-normal form: a walk returned it
+    unchanged, in scope mode if it holds a restriction."""
+    memo = p._memo or ()
+    modes = (True,) if _has_restrict(p) else (True, False)
+    return any(memo[i][1] in modes for i in range(0, len(memo), 2))
+
+
+def _flatten(p: Process, env: dict, depth: int):
+    """The cluster rooted at p: its binders, the restriction nodes that
+    bind them, its threads (the maximal subterms that are neither `|` nor
+    `new`; `0` is dropped), and for each thread the bit mask of the
+    binders it holds, and for each binder the masks of the threads that
+    hold it on its left and on its right. All in input order. A binder
+    that could capture a name (a name free in p, or a binder met before)
+    is renamed. A thread that may not be in scope-normal form, a sum or
+    one that holds a restriction, is walked once first, with the binders
+    free: a thread holds the binders free in its form, which has lost the
+    names of the servers it collected, and a sum that collapses to a
+    single part is replaced by that part, which may be a spine or a
+    server. Which names a form holds and whether a sum collapses do not
+    depend on the walk's context. Then unused servers are collected to a
+    fixpoint: a binder whose one holder is a server on it goes, with that
+    thread."""
+    names, binders, threads, holds, sides = [], [], [], [], []
+    fn = free_names(p)
+    todo = [(p, {})]
+    while todo:
+        q, path = todo.pop()
+        cls = type(q)
+        if cls is Par:
+            todo += ((q.right, path), (q.left, path))
+        elif cls is Restrict and (q is p or not _is_scoped(q)
+                                  or not free_names(q).isdisjoint(path)):
+            x = q.x
+            if x in fn or x in names:
+                y = fresh_name(x.display)
+                q = Restrict(y, substitute(q.left, y, x),
+                             substitute(q.right, y, x))
+                x = y
+            i = len(names)
+            names.append(x)
+            binders.append(q)
+            sides.append([0, 0])
+            todo += ((q.right, {**path, x: (i, 1)}),
+                     (q.left, {**path, x: (i, 0)}))
+        elif cls is not Inaction:
+            # a cut below p in its normal form that holds no binder of the
+            # cluster is a part of its own: it stays whole, as a thread
+            fq = free_names(q)
+            if (cls is NDChoice or _has_restrict(q)) and not _is_scoped(q):
+                c = _walk(q, env, depth, True)[0]
+                if type(c) is not cls:
+                    todo.append((c, path))
+                    continue
+                fq = free_names(c)
+            bit, held = 1 << len(threads), 0
+            threads.append(q)
+            for n, (j, side) in path.items():
+                if n in fq:
+                    held |= 1 << j
+                    sides[j][side] |= bit
+            holds.append(held)
+    live = (1 << len(names)) - 1
+    collected = True
+    while collected:
+        collected = False
+        for i in _bits(live):
+            h = sides[i][0] | sides[i][1]
+            t = h.bit_length() - 1
+            if h and h == 1 << t and type(threads[t]) is Server \
+                    and threads[t].x == names[i]:
+                for j in _bits(holds[t]):
+                    sides[j][0] &= ~h
+                    sides[j][1] &= ~h
+                holds[t] = 0
+                threads[t] = None
+                live &= ~(1 << i)
+                collected = True
+    return names, binders, threads, holds, sides, live
+
+
+def _invariant(i: int, names, threads, sides, anon: dict, depth: int):
+    """How the holders of binder i use it: their keys on each of its
+    sides, walked with every binder of the cluster at one anonymous level
+    (`anon`) and i at another, the two sides in order. It depends neither
+    on the binders' names nor on their order."""
+    anon[names[i]] = -2
+    keyed = tuple(sorted(tuple(sorted(_walk(threads[t], anon, depth, True)[1]
+                                      for t in _bits(side)))
+                         for side in sides[i]))
+    anon[names[i]] = -1
+    return keyed
+
+
+def _cluster(p: Process, env: dict, depth: int):
+    """(scope-normal form of the cluster rooted at p, its key), with the
+    binders of `env` open at levels below `depth`.
+
+    The scope axioms keep a cluster's threads and, for each binder, which
+    of its holders sit on which side (`_flatten`). A cut tree nests binary
+    restrictions `new x (L | R)` consistently with those sides: choose the
+    outermost binder x of each connected component, move the parts that do
+    not hold x out of its scope, split the others to its two sides, and
+    recurse on each side's components. Of the binders that can be
+    outermost in a component, only those whose cut has the least lower
+    bound of its key (exact where a side is one thread), and of those the
+    ones of least invariant (`_invariant`), are tried; the form is the cut
+    tree of least key built so. Each choice depends only on the congruence
+    class, so the form is exact. The key of a cut and of a parallel are
+    monotone in their parts' keys, so the least parts make the least
+    whole: each sub-problem is solved once per depth and levels of its
+    outer binders. Binders of equal bound and invariant are all tried,
+    which costs the product of the factorials of their numbers. Ties go
+    to the first binder in input order."""
+    names, binders, threads, holds, sides, live = _flatten(p, env, depth)
+    holders = [a | b for a, b in sides]
+    invariants, walked, best = {}, {}, {}
+
+    def parts(ts: int, open_: int) -> list:
+        """The connected components of the threads `ts`, joined by the
+        binders in `open_`, each as (threads, binders), by first thread."""
+        out = []
+        while ts:
+            comp = todo = ts & -ts
+            ns = 0
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                new = holds[b.bit_length() - 1] & open_ & ~ns
+                ns |= new
+                for i in _bits(new):
+                    todo |= holders[i] & ~comp
+                    comp |= holders[i]
+            out.append((comp, ns))
+            ts &= ~comp
+        return out
+
+    def thread(c: int, env: dict, depth: int):
+        t = c.bit_length() - 1
+        k = (t, depth, *[env[names[i]] for i in _bits(holds[t])])
+        if k not in walked:
+            walked[k] = _walk(threads[t], env, depth, True)
+        return walked[k]
+
+    def bound(items, env: dict, depth: int):
+        """A lower bound of the key of the parts `items`: exact for one
+        thread."""
+        lows = [thread(c, env, depth)[1] if not ns else ("res",)
+                for c, ns in items]
+        if len(lows) == 1:
+            return lows[0]
+        return ("par", (min(lows),)) if lows else ("0",)
+
+    def forest(items, env: dict, depth: int, olds):
+        """(form, key) of the parts `items`, reusing a node of `olds`
+        that already is that form."""
+        out = [cut(c, ns, env, depth) if ns else thread(c, env, depth)
+               for c, ns in items]
+        out.sort(key=itemgetter(1))
+        if len(out) == 1:
+            return out[0]
+        forms = [c for c, _ in out]
+        same = [o for o in olds if (_is_chain(o, Par, forms) if forms
+                                    else type(o) is Inaction)]
+        node = same[0] if same else par_all(forms) if forms else Inaction()
+        return node, ("par", tuple(k for _, k in out)) if out else ("0",)
+
+    def cut(ts: int, ns: int, env: dict, depth: int):
+        """(form, key) of the component `ts` joined by the open binders
+        `ns`: its least cut."""
+        if ns & (ns - 1) == 0:
+            # one binder: its holders, each alone, on its two sides
+            i = ns.bit_length() - 1
+            return least([(i, *([(1 << t, 0) for t in _bits(ts & side)]
+                                for side in sides[i]),
+                           {**env, names[i]: depth})], env, depth)
+        held = 0
+        for t in _bits(ts):
+            held |= holds[t]
+        k = (ts, ns, depth, *[env[names[i]] for i in _bits(held & ~ns)])
+        if k in best:
+            return best[k]
+        cands = []
+        for i in _bits(ns):
+            left, right = [], []
+            for c, cns in parts(ts, ns & ~(1 << i)):
+                if c & sides[i][0] and c & sides[i][1]:
+                    break
+                (left if c & sides[i][0] else right).append((c, cns))
+            else:
+                cands.append((i, left, right, {**env, names[i]: depth}))
+        if len(cands) > 1:
+            # least by a bound of the key, then by invariant
+            lows = [min(bound(left, env2, depth + 1),
+                        bound(right, env2, depth + 1))
+                    for _, left, right, env2 in cands]
+            cands = [c for c, b in zip(cands, lows) if b == min(lows)]
+        if len(cands) > 1:
+            anon = {**env0, **dict.fromkeys(names, -1)}
+            for i, *_ in cands:
+                if i not in invariants:
+                    invariants[i] = _invariant(i, names, threads, sides,
+                                               anon, depth0)
+            low = min(invariants[c[0]] for c in cands)
+            cands = [c for c in cands if invariants[c[0]] == low]
+        best[k] = least(cands, env, depth)
+        return best[k]
+
+    def least(cands, env: dict, depth: int):
+        """(form, key) of the cut of least key among `cands`."""
+        choice = None
+        for i, left, right, env2 in cands:
+            old = binders[i]
+            (l, kl), (r, kr) = (
+                forest(side, env2, depth + 1, (old.left, old.right))
+                for side in (left, right))
+            if kr < kl:
+                l, kl, r, kr = r, kr, l, kl
+            if choice is None or ("res", kl, kr) < choice[1]:
+                node = old if old.left is l and old.right is r \
+                    else Restrict(names[i], l, r)
+                choice = node, ("res", kl, kr)
+        # the form answers for its threads wherever it is walked here
+        node, key = choice
+        ctx = (depth, True, *map(env.get, free_names(node)))
+        ctx = _SHARED.setdefault(ctx, ctx)
+        if ctx not in (node._memo or ())[::2]:
+            node._memo = (node._memo or ()) + (ctx, key)
+        return choice
+
+    env0, depth0 = env, depth
+    everything = sum(1 << t for t, q in enumerate(threads) if q is not None)
+    items = parts(everything, live)
+    items += [(0, 1 << i) for i in _bits(live) if not holders[i]]
+    try:
+        return forest(items, env, depth, (p,))
+    finally:
+        # the recursive helpers close reference cycles through the nodes
+        # in these tables; cutting them frees the nodes without the
+        # cycle collector
+        cut = forest = None
 
 
 def scope_normalize(p: Process) -> Process:
-    """Deterministic representative of a process modulo the scope axioms,
-    used as state identity in reduction graphs: one extrusion pass, then
-    one walk in scope mode. Only structural-congruence axiom instances are
-    applied, so equal normal forms imply congruent processes. The result
-    is canonical and carries its key. `_extrude` stays an unkeyed pre-pass:
-    folded into the keyed walk, it keys each extruded part again at every
-    level the part passes through, over ten times slower on a chain of
-    nested restrictions."""
-    c, k = _walk(_extrude(p), {}, 0, True)
+    """Representative of a process modulo structural congruence, the
+    scope axioms included, used as state identity in reduction graphs:
+    one canonical walk in scope mode, which brings every cluster to its
+    canonical cut tree (`_cluster`). Two processes are congruent iff
+    their normal forms have equal keys. The result is canonical and
+    carries its key."""
+    c, k = _walk(p, {}, 0, True)
     c._key = k
     return c
 
 
 # ---------------------------------------------------------------------------
-# Scope-rearrangement rewrites and bounded structural congruence
+# Scope-rearrangement rewrites and structural congruence
 
 def _scope_rewrites_top(p: Process) -> Iterator[Process]:
     # extrusion: new x ((P|Q) | R) == new x (P|R) | Q  with x not in fn(Q)
@@ -784,7 +1000,14 @@ def _scope_rewrites_top(p: Process) -> Iterator[Process]:
                 rest = parts[:i] + parts[i + 1:]
                 inner = par_all(rest) if rest else Inaction()
                 yield Par(Restrict(x, inner, r), c)
-        yield from _swap_candidates(p)
+        # swap: new x (new y (P|Q) | R) == new y (new x (P|R) | Q)
+        for a, b in ((p.left, p.right), (p.right, p.left)):
+            if not isinstance(a, Restrict):
+                continue
+            y = a.x
+            for keep, move in ((a.left, a.right), (a.right, a.left)):
+                if x not in free_names(move) and y not in free_names(b):
+                    yield Restrict(y, Restrict(x, keep, b), move)
     # intrusion: new x (P|R) | Q == new x ((P|Q) | R)
     if isinstance(p, Par):
         parts = par_parts(p)
@@ -809,36 +1032,7 @@ def scope_rewrites(p: Process) -> Iterator[Process]:
             yield _with_children(p, kids[:i] + (q2,) + kids[i + 1:])
 
 
-def struct_congruent(p: Process, q: Process, bound: int = 4) -> bool:
-    """Decide P == Q by canonicalization plus a bounded bidirectional
-    search over the two scope-rearrangement axioms.
-
-    Sound always. Each of the `bound` rounds takes both frontiers one
-    rewrite further and the two searches meet from both ends, so it is
-    complete on terms whose scope-rewrite distance is within 2·`bound`.
-    """
-    cp, cq = scope_normalize(p), scope_normalize(q)
-    kp, kq = term_key(cp), term_key(cq)
-    if kp == kq:
-        return True
-    seen_p = {kp: cp}
-    seen_q = {kq: cq}
-    frontier_p, frontier_q = [cp], [cq]
-    for _ in range(bound):
-        if not frontier_p and not frontier_q:
-            break
-        # each round expands both frontiers by one rewrite step, p's first
-        for seen, other, frontier in ((seen_p, seen_q, frontier_p),
-                                      (seen_q, seen_p, frontier_q)):
-            new = []
-            for t in frontier:
-                for r in scope_rewrites(t):
-                    cr = canonicalize(r)
-                    k = term_key(cr)
-                    if k in other:
-                        return True
-                    if k not in seen:
-                        seen[k] = cr
-                        new.append(cr)
-            frontier[:] = new
-    return False
+def struct_congruent(p: Process, q: Process) -> bool:
+    """Decide P == Q, the scope axioms included: equal scope-normal
+    keys."""
+    return term_key(scope_normalize(p)) == term_key(scope_normalize(q))

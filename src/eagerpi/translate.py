@@ -21,6 +21,7 @@ exact, which is the default everywhere).
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 from . import lam as L
 from .lamtypes import ArrowT, LamTypeError, Mult, UnitT, check_wf
@@ -31,6 +32,50 @@ from .process import (Branch, Client, Close, Expect, Forward, Inaction,
                       substitute, sum_all)
 from .sessiontypes import (Bang, Maybe, One, Parr, ExpectT, SessionType,
                            Tensor, With, dual)
+
+
+# The most sum branches one translation may build (`branch_count`). Every
+# term of corr.lc and ex32.lc, and every reduct that `correspond`
+# translates, builds at most 21. The benchmark's k-alias fetches build 605
+# for k = 5, 4,326 for k = 6 (its correspondence took 77 s) and 35,287 for
+# k = 7, whose translation ran out of time or memory.
+MAX_BRANCHES = 1_000
+
+
+class TranslationTooLarge(Exception):
+    pass
+
+
+def branch_count(m) -> int:
+    """The sum branches the translation of m builds, read off the term
+    before any is built: a linear substitution of k items sums over the k!
+    assignments of the items to its body, and a sharing of n aliases
+    nests one sum per alias over the others, n! paths to its body."""
+    match m:
+        case L.Sharing(body, als, _):
+            return factorial(len(als)) * branch_count(body)
+        case L.LinSub(body, items, _):
+            return factorial(len(items)) * branch_count(body) + \
+                sum(map(branch_count, items))
+        case L.Abs(_, body):
+            return branch_count(body)
+        case L.App(body, bg) | L.InterSub(body, bg, _):
+            return branch_count(body) + sum(map(branch_count, bg.linear)) \
+                + sum(branch_count(s) for s in bg.unr if s is not None)
+        case L.UnrSub(body, slots, _):
+            return branch_count(body) + \
+                sum(branch_count(s) for s in slots if s is not None)
+    return 1
+
+
+def check_size(m):
+    """Raise `TranslationTooLarge` if the translation of m would build
+    more than `MAX_BRANCHES` sum branches."""
+    n = branch_count(m)
+    if n > MAX_BRANCHES:
+        raise TranslationTooLarge(
+            f"translation too large: {n} sum branches, over the bound of "
+            f"{MAX_BRANCHES}")
 
 
 class Translator:

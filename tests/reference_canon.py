@@ -2,11 +2,11 @@
 
 This is the two-walk canonicalizer that `eagerpi.process` used before its
 keyed single-pass walk: `_canon` sorts children by re-keying them with
-`term_key` at every level, `_swap_pass` re-canonicalizes every candidate of
-the restriction-swap axiom, and `scope_normalize` re-keys the whole state
-after each pass. It is kept verbatim, with its own free-name and key
-functions, so `test_canon_oracle.py` can check that the keyed walk gives
-exactly the same keys.
+`term_key` at every level. It is kept verbatim, with its own free-name and
+key functions, so `test_canon_oracle.py` can check that the keyed walk
+gives exactly the same keys. Its scope normalization (an extrusion pass
+and a swap pass, repeated to a fixpoint) is gone: `reference_scope.py`
+keeps the scope mode that replaced it.
 """
 
 from __future__ import annotations
@@ -200,130 +200,3 @@ def _canon(p: Process, env: dict, depth: int) -> Process:
                                  key=lambda n: name_key(n, env)))
             return Expect(x, deps2, _canon(c, env, depth))
     raise TypeError(f"not a process: {p!r}")
-
-
-def _extrude(p: Process, env: dict, depth: int) -> Process:
-    """One bottom-up pass of maximal scope extrusion: every parallel
-    component of a restriction's sides that does not mention the bound
-    name moves out (instances of the first scope axiom plus units)."""
-    match p:
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            l = _extrude(l, env2, depth + 1)
-            r = _extrude(r, env2, depth + 1)
-            outer = []
-            sides = []
-            for side in (l, r):
-                keep = []
-                for c in par_parts(side):
-                    if x in free_names(c):
-                        keep.append(c)
-                    else:
-                        outer.append(c)
-                sides.append(par_all(keep))
-            core: Process = Restrict(x, sides[0], sides[1])
-            if not outer:
-                return core
-            return par_all([core] + outer)
-        case Par(_, _):
-            return par_all([_extrude(q, env, depth) for q in par_parts(p)])
-        case NDChoice(l, r):
-            return NDChoice(_extrude(l, env, depth), _extrude(r, env, depth))
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return Output(x, y, _extrude(pl, env2, depth + 1),
-                          _extrude(c, env2, depth + 1))
-        case Input(x, y, c):
-            return Input(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Client(x, y, c):
-            return Client(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Server(x, y, c):
-            return Server(x, y, _extrude(c, {**env, y: depth}, depth + 1))
-        case Select(x, lab, c):
-            return Select(x, lab, _extrude(c, env, depth))
-        case Branch(x, brs):
-            return Branch(x, tuple((k, _extrude(q, env, depth)) for k, q in brs))
-        case Wait(x, c):
-            return Wait(x, _extrude(c, env, depth))
-        case SomeAvail(x, c):
-            return SomeAvail(x, _extrude(c, env, depth))
-        case Expect(x, deps, c):
-            return Expect(x, deps, _extrude(c, env, depth))
-        case _:
-            return p
-
-
-def _swap_candidates(p: Restrict):
-    """Applications of the nested-restriction swap axiom at this node."""
-    x = p.x
-    for a, b in ((p.left, p.right), (p.right, p.left)):
-        if not isinstance(a, Restrict):
-            continue
-        y = a.x
-        for inner_keep, inner_move in ((a.left, a.right), (a.right, a.left)):
-            if x not in free_names(inner_move) and y not in free_names(b):
-                yield Restrict(y, Restrict(x, inner_keep, b), inner_move)
-
-
-def _swap_pass(p: Process, env: dict, depth: int) -> Process:
-    match p:
-        case Restrict(x, l, r):
-            env2 = {**env, x: depth}
-            l = _swap_pass(l, env2, depth + 1)
-            r = _swap_pass(r, env2, depth + 1)
-            node = _canon(Restrict(x, l, r), env, depth)
-            if isinstance(node, Restrict):
-                best = node
-                best_key = term_key(node, env, depth)
-                for cand in _swap_candidates(node):
-                    c = _canon(cand, env, depth)
-                    k = term_key(c, env, depth)
-                    if k < best_key:
-                        best, best_key = c, k
-                return best
-            return node
-        case Par(_, _):
-            return par_all([_swap_pass(q, env, depth) for q in par_parts(p)])
-        case NDChoice(l, r):
-            return NDChoice(_swap_pass(l, env, depth), _swap_pass(r, env, depth))
-        case Output(x, y, pl, c):
-            env2 = {**env, y: depth}
-            return Output(x, y, _swap_pass(pl, env2, depth + 1),
-                          _swap_pass(c, env2, depth + 1))
-        case Input(x, y, c):
-            return Input(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Client(x, y, c):
-            return Client(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Server(x, y, c):
-            return Server(x, y, _swap_pass(c, {**env, y: depth}, depth + 1))
-        case Select(x, lab, c):
-            return Select(x, lab, _swap_pass(c, env, depth))
-        case Branch(x, brs):
-            return Branch(x, tuple((k, _swap_pass(q, env, depth)) for k, q in brs))
-        case Wait(x, c):
-            return Wait(x, _swap_pass(c, env, depth))
-        case SomeAvail(x, c):
-            return SomeAvail(x, _swap_pass(c, env, depth))
-        case Expect(x, deps, c):
-            return Expect(x, deps, _swap_pass(c, env, depth))
-        case _:
-            return p
-
-
-def scope_normalize(p: Process, limit: int = 50) -> Process:
-    """Deterministic representative of a process modulo the scope axioms,
-    used as state identity in reduction graphs: extrude maximally, then
-    reorder permutable nested restrictions towards the least key. Every
-    pass applies only structural-congruence axiom instances, so equal
-    normal forms imply congruent processes."""
-    p = canonicalize(p)
-    prev = None
-    for _ in range(limit):
-        k = term_key(p)
-        if k == prev:
-            return p
-        prev = k
-        p = canonicalize(_extrude(p, {}, 0))
-        p = _swap_pass(p, {}, 0)
-    return p
-

@@ -1,15 +1,20 @@
 """Differential test of the keyed canonical walk in `eagerpi.process`
-against the two-walk canonicalizer it replaced (`reference_canon.py`).
+against the two-walk canonicalizer it replaced (`reference_canon.py`), and
+of the exact scope-normal form against the scope mode it replaced
+(`reference_scope.py`: an extrusion pass and a least-key swap search).
 
 On every corpus process, and on every raw one-step target (before
 normalization) of every state explored from the corpus, the `corr.lc`
-translations, ex32's `M` and a generated corpus, the two must give equal
-keys for `scope_normalize` and for `canonicalize`, and equal free-name
+translations, ex32's `M` and a generated corpus, the keyed walk and the
+reference must give equal keys for `canonicalize` and equal free-name
 sets. So must a seeded sample of one- and two-step `scope_rewrites` of
 explored states, and a restriction chain whose every scope can move.
 `term_key` of a raw target must be the reference key of its canonical
 form, and must leave nothing on the target that changes a later
-`canonicalize` of it.
+`canonicalize` of it. On the same inputs, `scope_normalize` may only
+merge: inputs whose reference scope keys are equal get equal keys, and
+inputs with equal keys whose reference keys differ are congruent by the
+reference's bounded search.
 """
 
 import random
@@ -25,6 +30,7 @@ from eagerpi.process import (Close, Inaction, Input, NDChoice, Par, Restrict,
                              Server, Wait, canonicalize, free_names, par_all,
                              scope_normalize, scope_rewrites, term_key)
 from tests import reference_canon as ref
+from tests import reference_scope as scope
 from tests.conftest import _fresh, assert_fixpoint, load_lc, load_spi
 
 # criterion 9: the closed corr.lc terms, explored at the correspondence bound
@@ -121,9 +127,12 @@ SOURCES = {
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_keys_match_reference(source):
     checked = 0
+    new_of_old, old_of_new = {}, {}
     for t in SOURCES[source]():
-        assert term_key(scope_normalize(t)) == \
-            ref.term_key(ref.scope_normalize(t))
+        key = term_key(scope_normalize(t))
+        old = term_key(scope.scope_normalize(t))
+        assert new_of_old.setdefault(old, key) == key
+        old_of_new.setdefault(key, {}).setdefault(old, t)
         assert term_key(canonicalize(t)) == ref.term_key(ref.canonicalize(t))
         assert free_names(t) == ref.free_names(t)
         assert term_key(t) == ref.term_key(ref.canonicalize(t))
@@ -132,6 +141,10 @@ def test_keys_match_reference(source):
         assert process_text(warm) == process_text(cold)
         checked += 1
     assert checked > 1
+    for twins in old_of_new.values():
+        first, *others = twins.values()
+        for t in others:
+            assert scope.struct_congruent(first, t)
 
 
 def test_canonical_forms_are_fixpoints():
@@ -186,5 +199,6 @@ def _collected_server_cases():
 @pytest.mark.parametrize("p", _collected_server_cases())
 def test_collected_server_keys_match_reference(p):
     assert term_key(canonicalize(p)) == ref.term_key(ref.canonicalize(p))
-    assert term_key(scope_normalize(p)) == \
-        ref.term_key(ref.scope_normalize(p))
+    n = scope_normalize(p)
+    assert scope.struct_congruent(p, n)
+    assert_fixpoint(n, scope_normalize)

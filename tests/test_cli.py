@@ -127,8 +127,9 @@ CYCLE = "def C = new x (?x!(y). [y<->a] | !x?(z). ?x!(w). [w<->a])\n"
 
 # The `--json` output of seeded traces and of `run`, recorded before the
 # trace became the explorer's graph, field by field in printed order. A
-# revisited node keeps its first number and depth, the root of a cycle has
-# a parent, and the walk's last node is flagged even where it passed before.
+# revisited node keeps its first number and depth, the root has no parent
+# even on a cycle, and the walk's last node is flagged even where it
+# passed before.
 PINNED = {
     ("step", "movie.spi", "Full", "--seed", "3", "--bound", "20"): [
         (0, None, "", "",
@@ -240,7 +241,7 @@ PINNED = {
          "b7. 0) | new b8 (close b8 | wait b8. 0))", 6, True),
     ],
     ("step", "cycle.spi", "C", "--seed", "1", "--bound", "4"): [
-        (0, 1, "id", "y",
+        (0, None, "", "",
          "new b0 (?b0!(b1). [b1<->a] | !b0?(b2). ?b0!(b3). "
          "[b3<->a])", 0, True),
         (1, 0, "repl", "x",
@@ -248,7 +249,7 @@ PINNED = {
          "!b1?(b3). ?b1!(b4). [b4<->a]))", 1, False),
     ],
     ("step", "cycle.spi", "C", "--seed", "1", "--bound", "5"): [
-        (0, 1, "id", "y",
+        (0, None, "", "",
          "new b0 (?b0!(b1). [b1<->a] | !b0?(b2). ?b0!(b3). "
          "[b3<->a])", 0, False),
         (1, 0, "repl", "x",
@@ -335,6 +336,40 @@ def test_mismatched_arity_translation_exits_1(tmp_path, cmd):
     assert out.stderr.splitlines() == [
         "ArityMismatch: linear substitution with mismatched arity has no "
         "translation"]
+
+
+@pytest.mark.parametrize("cmd", ["translate", "correspond"])
+@pytest.mark.parametrize("name", ["A7_7", "A8_8"])
+def test_oversized_translation_exits_3_quickly(tmp_path, cmd, name):
+    """The 7- and 8-alias fetches of the benchmark's lambda family would
+    build 35,287 and 322,568 sum branches: the bound on the translation's
+    size is checked before anything is built."""
+    import time
+    from tests.conftest import perfbench_workloads
+    src = tmp_path / "family.lc"
+    src.write_text(perfbench_workloads().lambda_script())
+    start = time.perf_counter()
+    out = _cli(cmd, str(src), name)
+    assert time.perf_counter() - start < 10
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert "over the bound of 1000" in out.stderr
+
+
+def test_cyclic_intersection_type_exits_1(tmp_path):
+    """Checking corr.lc's T05 binds a metavariable to an arrow that holds
+    it; the occurs check reports a type error instead of recursing."""
+    with open(corpus_path("corr.lc"), encoding="utf-8") as fh:
+        defs = [ln for ln in fh if ln.startswith(("def I ", "def T05 "))]
+    src = tmp_path / "self.lc"
+    src.write_text("".join(defs) + "wf T05 [] : unit\n")
+    out = _cli("check", str(src))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stdout.splitlines() == [
+        "wf T05: TypeMismatch: cyclic type: '1 occurs in ('1 ^ 1, '2) -> "
+        "'1 at application"]
 
 
 def test_deep_input_exits_2_without_traceback(tmp_path):

@@ -2,7 +2,7 @@
 
 A walk leaves on every node that it returned unchanged that node's key
 under the context it was walked in (depth, levels of its free names,
-swap). A warm call, whose shared subtrees answer from such entries, must
+scope mode). A warm call, whose shared subtrees answer from such entries, must
 agree with a walk of a structural copy made of new nodes, which carries no
 entry. Covered: every state explored from the corpus, the `corr.lc`
 translations and ex32's `M`, and each state's raw step targets.
@@ -105,18 +105,20 @@ def test_shared_subtrees_rekeyed_per_context(source):
     """Each subtree of an explored state, walked warm under binder levels
     that differ in order and in depth, and each raw step target, walked
     warm at the root, get the key of a walk of a fresh copy every time,
-    without the swap axiom and then with it."""
+    without the scope axioms and then with them. A scope-mode walk takes
+    any process, so raw subtrees and targets are walked in it as they
+    are."""
     states = list(_states(source))
     cases = [(q, ctx) for q in _subtrees(states) for ctx in _contexts(q)]
     cases += [(t, ({}, 0)) for s in states for t in _targets(s)]
-    swapped = 0
+    rescoped = 0
     for q, (env, depth) in cases:
-        keys = [_walk(q, env, depth, swap)[1] for swap in (False, True)]
-        for swap, key in zip((False, True), keys):
-            assert key == _walk(_fresh(q), env, depth, swap)[1]
-        swapped += keys[0] != keys[1]
+        keys = [_walk(q, env, depth, scope)[1] for scope in (False, True)]
+        for scope, key in zip((False, True), keys):
+            assert key == _walk(_fresh(q), env, depth, scope)[1]
+        rescoped += keys[0] != keys[1]
     if source != "spi-corpus":
-        assert swapped, "no case where the swap axiom changes the key"
+        assert rescoped, "no case where the scope axioms change the key"
 
 
 def test_shared_subtree_under_two_binder_levels():
