@@ -136,13 +136,10 @@ def _records(g):
     the bound stopped it with steps left."""
     ids = {k: i for i, k in enumerate(g.nodes)}
     for k, n in g.nodes.items():
-        parent, label = None, ""
-        if n.parent is not None:
-            parent = ids[n.parent]
-            label = next(lab for lab, c in g.nodes[n.parent].successors
-                         if c == k)
+        parent, label = n.parent or (None, "")
         rule, _, cut = label.partition("@")
-        yield {"node": ids[k], "parent": parent, "rule": rule, "cut": cut,
+        yield {"node": ids[k], "parent": ids.get(parent), "rule": rule,
+               "cut": cut,
                "term": process_text(n.state, canonical=True),
                "depth": n.depth,
                "bound_exhausted": n.has_steps and not n.expanded}

@@ -214,11 +214,11 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
             st = steps[chooser(node.state, steps)]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        k = term_key(st.target)
+        k, label = term_key(st.target), _label(st)
         if k not in nodes:
             nodes[k] = graph.Node(k, st.target, node.depth + 1,
-                                  parent=node.key)
-        node.successors.append((_label(st), k))
+                                  parent=(node.key, label))
+        node.successors.append((label, k))
         node = nodes[k]
     else:
         node.expanded, node.has_steps = False, bool(step_all(node.state))

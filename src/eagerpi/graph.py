@@ -21,7 +21,7 @@ class Node:
     successors: list = field(default_factory=list)  # (label, key)
     expanded: bool = False    # successors holds every step
     has_steps: bool = False   # steps were computed and there is one
-    parent: object = None     # the key of the node first found to step here
+    parent: object = None     # (key, label) of the step that first found it
 
     @property
     def succ(self):
@@ -97,7 +97,7 @@ def explore(root, step, key, depth: int, max_states: int, goal=None):
             if k in nodes:   # keep one copy of each key alive, not one per edge
                 k = nodes[k].key
             else:
-                nodes[k] = Node(k, t, node.depth + 1, parent=node.key)
+                nodes[k] = Node(k, t, node.depth + 1, parent=(node.key, label))
                 if goal is not None and goal(t):
                     return Graph(nodes, rk, "none", nodes[k])
                 queue.append(nodes[k])

@@ -20,31 +20,24 @@ of a process's canonical form, which the canonical walk computes with de
 Bruijn levels for bound names and display strings for free names, and
 every set-like operation (canonical sorting, reduct deduplication, state
 spaces) keys on it. `scope_normalize` adds the scope axioms for state
-identity: one canonical walk in scope mode, which flattens each maximal
-`|`/`new` spine (a cluster) to its binders and threads and rebuilds it
-as a canonical cut tree (`_cluster`). That form is exact: two processes
-are congruent iff their scope-normal keys are equal, which is all
-`struct_congruent` checks.
+identity: a walk in scope mode brings each maximal `|`/`new` spine (a
+cluster) to a canonical cut tree (`_cluster`). That form is exact: two
+processes are congruent iff their scope-normal keys are equal, which is
+all `struct_congruent` checks.
 
 Nodes are never mutated after construction; rewrites build new nodes and
 share unchanged subtrees. Values derived from a node are therefore cached
 on it, in slots: its free-name set, whether it holds a restriction, on a
-canonical form its key at the root, and the memo of the canonical walk
-`_walk`. Two more are kept only for the open `exploration` and dropped
-when it ends: its local steps (`eager._local_steps`) and, on a node not
-in its form, the form and key its last walk returned, so that a raw step
-target that later targets share is normalized once (the form is built
-from the node's subtrees, never from the node, so this makes no
-reference cycle). The walk computes
-each node's key once, bottom-up, and a parent sorts, deduplicates and
-orients its children by the keys they returned. A node already in
-canonical form is returned as it is and keeps, for each context it was
-walked in (depth, levels of its free names, scope mode if it holds a
-restriction), its key, so a subtree or a cluster that a step left alone
-is not walked again. An entry holds only a context and a key, never a
-node: an entry naming its own node would put the node in a reference
-cycle, which only the cycle collector frees. Equal contexts and name keys
-are one shared tuple, to keep entries small.
+canonical form its key at the root, and the memo of `_walk`: for each
+context it was walked in (depth, levels of its free names, scope mode if
+it holds a restriction), its key, so a subtree or a cluster that a step
+left alone is not walked again. An entry holds a context and a key, never
+a node, which would put the node in a reference cycle. Equal contexts and
+name keys are one shared tuple. Two more slots live only for the open
+`exploration`: a node's local steps (`eager._local_steps`) and, on a node
+not in its form, the form and key its last walk returned (built from its
+subtrees, never from the node), so a raw step target that later targets
+share is normalized once.
 """
 
 from __future__ import annotations
@@ -548,11 +541,8 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
 
     A parent sorts, deduplicates and orients its children by the keys they
     returned, so no subtree is keyed twice. In `scope` mode a restriction
-    roots a cluster, its maximal `|`/`new` spine, which `_cluster` brings
-    to its scope-normal form; the parts of a parallel share no binder, so
-    they are walked one by one. A node already in its form is returned as
-    it is, and its key is memoised on it for the context it was walked
-    in; in an `exploration`, another node keeps the form it walked to.
+    roots a cluster, which `_cluster` brings to its scope-normal form. A
+    node already in its form is returned as it is, with its key memoised.
     """
     if depth == 0 and not scope and p._key is not None:
         return p, p._key
@@ -565,7 +555,7 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
             return p, memo[i + 1]
     if p._form is not None and p._form[0] is ctx:
         return p._form[1]
-    if scope and type(p) is Restrict and not _simple(p):
+    if scope and type(p) is Restrict and not _is_cut(p):
         node, key = _cluster(p, env, depth)
     else:
         node, key = _walk_node(p, env, depth, scope)
@@ -577,18 +567,13 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
     return node, key
 
 
-_SHAPED = (Par, Restrict, NDChoice)  # may walk to a spine
-
-
-def _simple(p: Restrict) -> bool:
-    """Whether the walk of a cut's node keys its scope-normal form: one
-    side is an unused server (collected), or both sides are threads that
-    hold its name (a side that loses it to a collected server sends the
-    cut to `_cluster` then)."""
-    l, r, x = p.left, p.right, p.x
-    return any(type(s) is Server and s.x == x and x not in free_names(o)
-               for s, o in ((l, r), (r, l))) or all(
-        type(s) not in _SHAPED and x in free_names(s) for s in (l, r))
+def _is_cut(p: Restrict) -> bool:
+    """Whether p is a cluster of one binder whose plain walk is its
+    scope-normal form: both sides are threads that hold its name and no
+    restriction, so neither can collect a server and lose the name. It
+    spares the small states most steps reach the cost of `_cluster`."""
+    return all(type(s) not in (Par, NDChoice) and not _has_restrict(s)
+               and p.x in free_names(s) for s in (p.left, p.right))
 
 
 def _has_restrict(p: Process) -> bool:
@@ -628,18 +613,10 @@ def _walk_node(p: Process, env: dict, depth: int, scope: bool):
         case NoneAvail(x):
             return p, ("pnone", name_key(x, env))
         case Restrict(x, l, r):
-            # an unused server is garbage; the survivor moves up one level
-            for srv, other in ((l, r), (r, l)):
-                if type(srv) is Server and srv.x == x \
-                        and x not in free_names(other):
-                    return _walk(other, env, depth, scope)
             env2 = {**env, x: depth}
             cl, kl = _walk(l, env2, depth + 1, scope)
             cr, kr = _walk(r, env2, depth + 1, scope)
-            if scope and (x not in free_names(cl) or x not in free_names(cr)):
-                # a side collected the server that held its last use of x
-                return _cluster(Restrict(x, cl, cr), env, depth)
-            # a side that walked to an unused server
+            # an unused server is garbage; the survivor moves up one level
             for srv, other in ((cl, cr), (cr, cl)):
                 if isinstance(srv, Server) and srv.x == x \
                         and x not in free_names(other):
@@ -729,30 +706,18 @@ def _bits(m: int) -> Iterator[int]:
         m ^= b
 
 
-def _is_scoped(p: Process) -> bool:
-    """Whether p is known to be in scope-normal form: a walk returned it
-    unchanged, in scope mode if it holds a restriction."""
-    memo = p._memo or ()
-    modes = (True,) if _has_restrict(p) else (True, False)
-    return any(memo[i][1] in modes for i in range(0, len(memo), 2))
-
-
 def _flatten(p: Process, env: dict, depth: int):
     """The cluster rooted at p: its binders, the restriction nodes that
     bind them, its threads (the maximal subterms that are neither `|` nor
-    `new`; `0` is dropped), and for each thread the bit mask of the
-    binders it holds, and for each binder the masks of the threads that
-    hold it on its left and on its right. All in input order. A binder
-    that could capture a name (a name free in p, or a binder met before)
-    is renamed. A thread that may not be in scope-normal form, a sum or
-    one that holds a restriction, is walked once first, with the binders
-    free: a thread holds the binders free in its form, which has lost the
-    names of the servers it collected, and a sum that collapses to a
-    single part is replaced by that part, which may be a spine or a
-    server. Which names a form holds and whether a sum collapses do not
-    depend on the walk's context. Then unused servers are collected to a
-    fixpoint: a binder whose one holder is a server on it goes, with that
-    thread."""
+    `new`; `0` is dropped), for each thread the mask of the binders it
+    holds, and for each binder the masks of its holders on its left and on
+    its right, all in input order. A binder that could capture (a name
+    free in p, or a binder met before) is renamed. A sum, or a thread that
+    holds a restriction, is walked first with the binders free: it holds
+    the names free in its form, which has lost the servers it collected,
+    and a sum that collapses to one part is replaced by that part. Then
+    unused servers are collected to a fixpoint: a binder whose one holder
+    is a server on it goes, with that thread."""
     names, binders, threads, holds, sides = [], [], [], [], []
     fn = free_names(p)
     todo = [(p, {})]
@@ -761,25 +726,22 @@ def _flatten(p: Process, env: dict, depth: int):
         cls = type(q)
         if cls is Par:
             todo += ((q.right, path), (q.left, path))
-        elif cls is Restrict and (q is p or not _is_scoped(q)
-                                  or not free_names(q).isdisjoint(path)):
+        elif cls is Restrict:
             x = q.x
             if x in fn or x in names:
                 y = fresh_name(x.display)
                 q = Restrict(y, substitute(q.left, y, x),
                              substitute(q.right, y, x))
                 x = y
-            i = len(names)
             names.append(x)
             binders.append(q)
             sides.append([0, 0])
+            i = len(names) - 1
             todo += ((q.right, {**path, x: (i, 1)}),
                      (q.left, {**path, x: (i, 0)}))
         elif cls is not Inaction:
-            # a cut below p in its normal form that holds no binder of the
-            # cluster is a part of its own: it stays whole, as a thread
             fq = free_names(q)
-            if (cls is NDChoice or _has_restrict(q)) and not _is_scoped(q):
+            if cls is NDChoice or _has_restrict(q):
                 c = _walk(q, env, depth, True)[0]
                 if type(c) is not cls:
                     todo.append((c, path))
@@ -811,19 +773,6 @@ def _flatten(p: Process, env: dict, depth: int):
     return names, binders, threads, holds, sides, live
 
 
-def _invariant(i: int, names, threads, sides, anon: dict, depth: int):
-    """How the holders of binder i use it: their keys on each of its
-    sides, walked with every binder of the cluster at one anonymous level
-    (`anon`) and i at another, the two sides in order. It depends neither
-    on the binders' names nor on their order."""
-    anon[names[i]] = -2
-    keyed = tuple(sorted(tuple(sorted(_walk(threads[t], anon, depth, True)[1]
-                                      for t in _bits(side)))
-                         for side in sides[i]))
-    anon[names[i]] = -1
-    return keyed
-
-
 def _cluster(p: Process, env: dict, depth: int):
     """(scope-normal form of the cluster rooted at p, its key), with the
     binders of `env` open at levels below `depth`.
@@ -833,20 +782,20 @@ def _cluster(p: Process, env: dict, depth: int):
     restrictions `new x (L | R)` consistently with those sides: choose the
     outermost binder x of each connected component, move the parts that do
     not hold x out of its scope, split the others to its two sides, and
-    recurse on each side's components. Of the binders that can be
-    outermost in a component, only those whose cut has the least lower
-    bound of its key (exact where a side is one thread), and of those the
-    ones of least invariant (`_invariant`), are tried; the form is the cut
-    tree of least key built so. Each choice depends only on the congruence
-    class, so the form is exact. The key of a cut and of a parallel are
-    monotone in their parts' keys, so the least parts make the least
-    whole: each sub-problem is solved once per depth and levels of its
-    outer binders. Binders of equal bound and invariant are all tried,
-    which costs the product of the factorials of their numbers. Ties go
-    to the first binder in input order."""
+    recurse on each side's components. The binders a component may choose
+    are narrowed to those whose cut has the least lower bound of its key
+    (exact where a side is one thread; `nd_precongruence` matches two
+    forms cut by cut, so this comes first), then to those of least `rank`,
+    then to one per orbit (`twins`), and the cut of least key among them
+    is kept. Bound, rank and orbit depend only on the congruence class,
+    and binders of one orbit root cuts of one least key, so the form is
+    exact. Each sub-problem is solved once per depth and levels of its
+    outer binders. Ties go to the first binder in input order."""
     names, binders, threads, holds, sides, live = _flatten(p, env, depth)
     holders = [a | b for a, b in sides]
-    invariants, walked, best = {}, {}, {}
+    walked, best = {}, {}
+    env0, depth0 = env, depth
+    anon = {**env, **{n: -3 - i for i, n in enumerate(names)}}
 
     def parts(ts: int, open_: int) -> list:
         """The connected components of the threads `ts`, joined by the
@@ -867,27 +816,83 @@ def _cluster(p: Process, env: dict, depth: int):
             ts &= ~comp
         return out
 
-    def thread(c: int, env: dict, depth: int):
-        t = c.bit_length() - 1
+    def thread(t: int, env: dict, depth: int):
         k = (t, depth, *[env[names[i]] for i in _bits(holds[t])])
         if k not in walked:
             walked[k] = _walk(threads[t], env, depth, True)
         return walked[k]
 
-    def bound(items, env: dict, depth: int):
-        """A lower bound of the key of the parts `items`: exact for one
-        thread."""
-        lows = [thread(c, env, depth)[1] if not ns else ("res",)
-                for c, ns in items]
-        if len(lows) == 1:
-            return lows[0]
-        return ("par", (min(lows),)) if lows else ("0",)
+    def side(i: int, t: int) -> int:
+        return sides[i][1] >> t & 1
+
+    def rank(i: int, ns: int, env: dict, depth: int):
+        """How the holders of binder i use it: their keys on each side,
+        with i at one level, the other open binders `ns` at another and
+        the outer ones at their levels in `env`."""
+        mark = {**env, **{names[k]: -1 for k in _bits(ns)}, names[i]: -2}
+        return sorted(sorted(thread(t, mark, depth)[1] for t in _bits(s))
+                      for s in sides[i])
+
+    def twins(i: int, j: int, ns: int) -> bool:
+        """Whether a permutation of the binders `ns` that takes i to j,
+        keeping or exchanging each one's sides, maps the cluster onto
+        itself; a cut on i then has a twin on j of the same key. It is
+        built from i, first come first: each holder t of a mapped binder
+        goes to a free holder u of its image, and each unmapped binder of
+        t to a free binder of u, where they key alike with the binders
+        mapped so far at levels of their own (`anon`), the others open
+        ones at one level and the one matched at another. Each pair of
+        threads must then key alike, on the same sides up to each binder's
+        exchange. A permutation this misses has its binders tried each."""
+        sigma, flip, image, todo = {i: j}, {}, {}, [i]
+        taken, used = 0, 1 << j
+
+        def lab(t: int, img: bool, b=None):
+            e = {**anon, **{names[k]: -1 for k in _bits(ns)}}
+            e.update((names[m if img else k], anon[names[k]])
+                     for k, m in sigma.items())
+            if b is not None:
+                e[names[b]] = -2
+            return thread(t, e, depth0)[1]
+
+        while todo:
+            b = todo.pop()
+            c = sigma[b]
+            for t in _bits(holders[b]):
+                if t in image:
+                    continue
+                kt = lab(t, False)
+                for u in _bits(holders[c] & ~taken):
+                    f = side(b, t) ^ side(c, u)
+                    if flip.get(b, f) == f and lab(u, True) == kt:
+                        break
+                else:
+                    return False
+                image[t] = u
+                taken |= 1 << u
+                for k in _bits(holds[t] & ns):
+                    if k not in sigma:
+                        kt = lab(t, False, k)
+                        for m in _bits(holds[u] & ns & ~used):
+                            if lab(u, True, m) == kt:
+                                break
+                        else:
+                            return False
+                        sigma[k] = m
+                        used |= 1 << m
+                        todo.append(k)
+                    f = side(k, t) ^ side(sigma[k], u)
+                    if flip.setdefault(k, f) != f:
+                        return False
+                if lab(t, False) != lab(u, True):
+                    return False
+        return True
 
     def forest(items, env: dict, depth: int, olds):
         """(form, key) of the parts `items`, reusing a node of `olds`
         that already is that form."""
-        out = [cut(c, ns, env, depth) if ns else thread(c, env, depth)
-               for c, ns in items]
+        out = [cut(c, ns, env, depth) if ns else
+               thread(c.bit_length() - 1, env, depth) for c, ns in items]
         out.sort(key=itemgetter(1))
         if len(out) == 1:
             return out[0]
@@ -897,21 +902,37 @@ def _cluster(p: Process, env: dict, depth: int):
         node = same[0] if same else par_all(forms) if forms else Inaction()
         return node, ("par", tuple(k for _, k in out)) if out else ("0",)
 
+    def bound(items, env: dict, depth: int):
+        """A lower bound of the key of the parts `items`: exact for one
+        thread."""
+        lows = [thread(c.bit_length() - 1, env, depth)[1] if not ns
+                else ("res",) for c, ns in items]
+        if len(lows) == 1:
+            return lows[0]
+        return ("par", (min(lows),)) if lows else ("0",)
+
     def cut(ts: int, ns: int, env: dict, depth: int):
         """(form, key) of the component `ts` joined by the open binders
-        `ns`: its least cut."""
+        `ns`: its least cut on a binder of least bound, then of least
+        rank, trying one binder per orbit."""
         if ns & (ns - 1) == 0:
             # one binder: its holders, each alone, on its two sides
             i = ns.bit_length() - 1
             return least([(i, *([(1 << t, 0) for t in _bits(ts & side)]
                                 for side in sides[i]),
-                           {**env, names[i]: depth})], env, depth)
+                           {**env, names[i]: depth})], ns, depth)
         held = 0
         for t in _bits(ts):
             held |= holds[t]
         k = (ts, ns, depth, *[env[names[i]] for i in _bits(held & ~ns)])
-        if k in best:
-            return best[k]
+        if k not in best:
+            best[k] = least(candidates(ts, ns, env, depth), ns, depth)
+        return best[k]
+
+    def candidates(ts: int, ns: int, env: dict, depth: int) -> list:
+        """The binders of `ns` that may be outermost in the component `ts`,
+        each with the parts on its two sides, narrowed to those of least
+        bound, then of least rank."""
         cands = []
         for i in _bits(ns):
             left, right = [], []
@@ -921,27 +942,23 @@ def _cluster(p: Process, env: dict, depth: int):
                 (left if c & sides[i][0] else right).append((c, cns))
             else:
                 cands.append((i, left, right, {**env, names[i]: depth}))
-        if len(cands) > 1:
-            # least by a bound of the key, then by invariant
-            lows = [min(bound(left, env2, depth + 1),
-                        bound(right, env2, depth + 1))
-                    for _, left, right, env2 in cands]
-            cands = [c for c, b in zip(cands, lows) if b == min(lows)]
-        if len(cands) > 1:
-            anon = {**env0, **dict.fromkeys(names, -1)}
-            for i, *_ in cands:
-                if i not in invariants:
-                    invariants[i] = _invariant(i, names, threads, sides,
-                                               anon, depth0)
-            low = min(invariants[c[0]] for c in cands)
-            cands = [c for c in cands if invariants[c[0]] == low]
-        best[k] = least(cands, env, depth)
-        return best[k]
+        for low in (lambda i, left, right, env2: min(
+                        bound(left, env2, depth + 1),
+                        bound(right, env2, depth + 1)),
+                    lambda i, *_: rank(i, ns, env, depth)):
+            if len(cands) > 1:
+                lows = [low(*c) for c in cands]
+                cands = [c for c, b in zip(cands, lows) if b == min(lows)]
+        return cands
 
-    def least(cands, env: dict, depth: int):
-        """(form, key) of the cut of least key among `cands`."""
-        choice = None
+    def least(cands: list, ns: int, depth: int):
+        """(form, key) of the least cut of `cands`, one binder tried per
+        orbit."""
+        choice, tried = None, []
         for i, left, right, env2 in cands:
+            if any(twins(j, i, ns) for j in tried):
+                continue
+            tried.append(i)
             old = binders[i]
             (l, kl), (r, kr) = (
                 forest(side, env2, depth + 1, (old.left, old.right))
@@ -952,15 +969,8 @@ def _cluster(p: Process, env: dict, depth: int):
                 node = old if old.left is l and old.right is r \
                     else Restrict(names[i], l, r)
                 choice = node, ("res", kl, kr)
-        # the form answers for its threads wherever it is walked here
-        node, key = choice
-        ctx = (depth, True, *map(env.get, free_names(node)))
-        ctx = _SHARED.setdefault(ctx, ctx)
-        if ctx not in (node._memo or ())[::2]:
-            node._memo = (node._memo or ()) + (ctx, key)
         return choice
 
-    env0, depth0 = env, depth
     everything = sum(1 << t for t, q in enumerate(threads) if q is not None)
     items = parts(everything, live)
     items += [(0, 1 << i) for i in _bits(live) if not holders[i]]

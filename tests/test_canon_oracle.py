@@ -202,3 +202,5 @@ def test_collected_server_keys_match_reference(p):
     n = scope_normalize(p)
     assert scope.struct_congruent(p, n)
     assert_fixpoint(n, scope_normalize)
+    # the reference's form is congruent to p, so it has p's key
+    assert term_key(n) == term_key(scope_normalize(scope.scope_normalize(p)))

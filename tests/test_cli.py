@@ -492,3 +492,18 @@ def test_type_errors_print_alike_in_every_run(tmp_path):
         in runs[0].stdout
     assert "M: TypeMismatch: expected '1 @ ?'2, found '3 * !'4 at cut on y" \
         in runs[0].stdout
+
+
+def test_records_of_a_goal_cut_graph():
+    """A search that stops at a goal state has not yet listed the edge to
+    it; its record still names the node and step that found it."""
+    from eagerpi.cli import _records
+    from eagerpi.equivalence import _graph, has_unguarded_success
+    from eagerpi.names import NameSupply
+    from eagerpi.process import Close, Restrict, Success, Wait
+    x = NameSupply(1).fresh("x")
+    g = _graph(Restrict(x, Close(x), Wait(x, Success())), 8, 100,
+               goal=has_unguarded_success)
+    recs = list(_records(g))
+    assert [(r["node"], r["parent"]) for r in recs] == [(0, None), (1, 0)]
+    assert recs[1]["rule"] and recs[1]["term"] == "OK"

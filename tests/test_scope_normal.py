@@ -6,16 +6,23 @@ it is written. Checked on seeded walks of six rewrites from every state
 explored from the `.spi` corpus and from the closed `corr.lc`
 translations, and on every two-step rewrite of the states of `G091`,
 where the scope mode that came before split one graph in two.
-`tests/scope_sweep.py` runs more and longer walks.
+`tests/scope_sweep.py` runs more and longer walks. A star of ten or
+twenty restrictions around a few threads normalizes at once, in every
+nesting order, whether its binders are interchangeable, alone or only
+in pairs, or not at all.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
 from eagerpi.equivalence import _translate_fresh, explore
-from eagerpi.process import scope_normalize, scope_rewrites, term_key
+from eagerpi.names import NameSupply
+from eagerpi.process import (Close, Expect, Inaction, Restrict, Wait,
+                             par_all, scope_normalize, scope_rewrites,
+                             sum_all, term_key)
 from tests import reference_scope
 from tests.conftest import load_lc, load_spi
 
@@ -94,3 +101,54 @@ def test_g091_two_step_rewrites_give_one_graph():
     a, _, _ = explore(split[0], 64)
     b, _, _ = explore(split[1], 64)
     assert a.keys() == b.keys()
+
+
+def star(center, order):
+    """new x (close x | ...) for each binder x of the shape, nested in
+    `order`, around the parallel of the shape's `center` threads."""
+    supply = NameSupply(1)
+    a = [supply.fresh(f"a{i}") for i in range(10)]
+    b = [supply.fresh(f"b{i}") for i in range(10)]
+    names, center = SHAPES[center](a, b)
+    p = par_all(center)
+    for i in reversed(order):
+        p = Restrict(names[i], Close(names[i]), p)
+    return p, len(names)
+
+
+def waits(names):
+    p = Inaction()
+    for x in reversed(names):
+        p = Wait(x, p)
+    return p
+
+
+U = NameSupply(2).fresh("u")
+SHAPES = {
+    # every binder alike: the cut trees are the n! nestings of one key
+    "expect": lambda a, b: (a, [Expect(U, tuple(a), Inaction())]),
+    # no two binders alike
+    "waits": lambda a, b: (a, [waits(a)]),
+    # a_i and b_i alike only together: the pairs are an orbit that no
+    # exchange of two binders shows
+    "pairs": lambda a, b: (a + b, [Expect(U, tuple(a), Inaction()),
+                                   *(Wait(y, Close(x))
+                                     for x, y in zip(a, b))]),
+    # the same within one thread, a sum
+    "sum": lambda a, b: (a + b, [sum_all(waits([x, y])
+                                         for x, y in zip(a, b))]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_star_of_symmetric_binders_normalizes_at_once(shape):
+    rng = random.Random(3)
+    keys = set()
+    for _ in range(4):
+        order = list(range(star(shape, [])[1]))
+        rng.shuffle(order)
+        p, _ = star(shape, order)
+        start = time.perf_counter()
+        keys.add(term_key(scope_normalize(p)))
+        assert time.perf_counter() - start < 2
+    assert len(keys) == 1
