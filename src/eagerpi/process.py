@@ -541,8 +541,9 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
 
     A parent sorts, deduplicates and orients its children by the keys they
     returned, so no subtree is keyed twice. In `scope` mode a restriction
-    roots a cluster, which `_cluster` brings to its scope-normal form. A
-    node already in its form is returned as it is, with its key memoised.
+    roots a cluster, which `_cluster` brings to its scope-normal form
+    (`_is_cut` spares a cut of two threads that cost). A node already in
+    its form is returned as it is, with its key memoised.
     """
     if depth == 0 and not scope and p._key is not None:
         return p, p._key
@@ -568,11 +569,12 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
 
 
 def _is_cut(p: Restrict) -> bool:
-    """Whether p is a cluster of one binder whose plain walk is its
-    scope-normal form: both sides are threads that hold its name and no
-    restriction, so neither can collect a server and lose the name. It
-    spares the small states most steps reach the cost of `_cluster`."""
-    return all(type(s) not in (Par, NDChoice) and not _has_restrict(s)
+    """Whether p is a cluster of one binder, both sides threads that hold
+    its name: its walk is its scope-normal form unless a side collects a
+    server and loses the name, which sends it to `_cluster`. Each side is
+    walked once, in the context the form keys it in; `_cluster` would
+    first walk a side that holds a restriction with the binder free."""
+    return all(type(s) not in (Par, Restrict, NDChoice)
                and p.x in free_names(s) for s in (p.left, p.right))
 
 
@@ -616,6 +618,8 @@ def _walk_node(p: Process, env: dict, depth: int, scope: bool):
             env2 = {**env, x: depth}
             cl, kl = _walk(l, env2, depth + 1, scope)
             cr, kr = _walk(r, env2, depth + 1, scope)
+            if scope and (x not in free_names(cl) or x not in free_names(cr)):
+                return _cluster(Restrict(x, cl, cr), env, depth)
             # an unused server is garbage; the survivor moves up one level
             for srv, other in ((cl, cr), (cr, cl)):
                 if isinstance(srv, Server) and srv.x == x \
@@ -707,17 +711,14 @@ def _bits(m: int) -> Iterator[int]:
 
 
 def _flatten(p: Process, env: dict, depth: int):
-    """The cluster rooted at p: its binders, the restriction nodes that
-    bind them, its threads (the maximal subterms that are neither `|` nor
-    `new`; `0` is dropped), for each thread the mask of the binders it
-    holds, and for each binder the masks of its holders on its left and on
-    its right, all in input order. A binder that could capture (a name
-    free in p, or a binder met before) is renamed. A sum, or a thread that
-    holds a restriction, is walked first with the binders free: it holds
-    the names free in its form, which has lost the servers it collected,
-    and a sum that collapses to one part is replaced by that part. Then
-    unused servers are collected to a fixpoint: a binder whose one holder
-    is a server on it goes, with that thread."""
+    """The cluster rooted at p, in input order: its binders (renamed where
+    they could capture), their restriction nodes, its threads (maximal
+    subterms neither `|` nor `new`, `0` dropped), the mask of binders each
+    thread holds, and each binder's holders on its left and right. A sum
+    or a thread holding a restriction is walked first, with the binders
+    free, for the names its form holds and the part a sum collapses to.
+    Then a binder whose one holder is a server on it is collected, with
+    that thread, to a fixpoint."""
     names, binders, threads, holds, sides = [], [], [], [], []
     fn = free_names(p)
     todo = [(p, {})]
@@ -794,7 +795,7 @@ def _cluster(p: Process, env: dict, depth: int):
     names, binders, threads, holds, sides, live = _flatten(p, env, depth)
     holders = [a | b for a, b in sides]
     walked, best = {}, {}
-    env0, depth0 = env, depth
+    depth0 = depth
     anon = {**env, **{n: -3 - i for i, n in enumerate(names)}}
 
     def parts(ts: int, open_: int) -> list:
@@ -952,11 +953,12 @@ def _cluster(p: Process, env: dict, depth: int):
         return cands
 
     def least(cands: list, ns: int, depth: int):
-        """(form, key) of the least cut of `cands`, one binder tried per
-        orbit."""
+        """(form, key) of the least cut of `cands`. Of three or more, one
+        binder is tried per orbit: `twins` walks the threads it maps, which
+        costs about what trying a second binder does."""
         choice, tried = None, []
         for i, left, right, env2 in cands:
-            if any(twins(j, i, ns) for j in tried):
+            if len(cands) > 2 and any(twins(j, i, ns) for j in tried):
                 continue
             tried.append(i)
             old = binders[i]
