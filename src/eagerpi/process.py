@@ -541,9 +541,9 @@ def _walk(p: Process, env: dict, depth: int, scope: bool):
 
     A parent sorts, deduplicates and orients its children by the keys they
     returned, so no subtree is keyed twice. In `scope` mode a restriction
-    roots a cluster, which `_cluster` brings to its scope-normal form
-    (`_is_cut` spares a cut of two threads that cost). A node already in
-    its form is returned as it is, with its key memoised.
+    roots a cluster, which `_cluster` brings to its scope-normal form; a
+    cut of two threads that hold its name is walked directly (`_is_cut`).
+    A node already in its form is returned as it is, its key memoised.
     """
     if depth == 0 and not scope and p._key is not None:
         return p, p._key
