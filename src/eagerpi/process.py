@@ -787,8 +787,8 @@ def _cluster(p: Process, env: dict, depth: int):
     are narrowed to those whose cut has the least lower bound of its key
     (exact where a side is one thread; `nd_precongruence` matches two
     forms cut by cut, so this comes first), then to those of least `rank`,
-    then to one per orbit (`twins`), and the cut of least key among them
-    is kept. Bound, rank and orbit depend only on the congruence class,
+    then, of three or more, to one per orbit (`twins`), and the cut of
+    least key among them is kept. Bound, rank and orbit depend only on the congruence class,
     and binders of one orbit root cuts of one least key, so the form is
     exact. Each sub-problem is solved once per depth and levels of its
     outer binders. Ties go to the first binder in input order."""
