@@ -1,12 +1,13 @@
 """Command surface: check, step, run, translate, bisim, correspond.
 
 Exit codes: 0 success, 1 semantic failure (type error, distinguished,
-missing witness), 2 unusable input (parse error, missing file or name,
-invalid argument, input nested too deeply), 3 inconclusive (a bound cut
-the search, or a translation would be too large). Every command
-accepts --json to emit line-delimited records instead of prose. The
-environment variable EAGERPI_MAX_STATES (a positive integer) caps
-state-space sizes.
+missing witness), 2 unusable input (parse error, unreadable file, a
+script of the wrong calculus, unknown name, invalid argument, input
+nested too deeply), 3 inconclusive (a bound cut the search, or a
+translation would be too large). Every command accepts --json to emit
+line-delimited records instead of prose. The environment variable
+EAGERPI_MAX_STATES (a positive integer, 6000 if unset) caps state-space
+sizes.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class UsageError(Exception):
     pass
 
 
-def _max_states(default=6000):
-    text = os.environ.get("EAGERPI_MAX_STATES", str(default))
+def _max_states():
+    text = os.environ.get("EAGERPI_MAX_STATES", "6000")
     try:
         value = int(text)
     except ValueError:
@@ -65,12 +66,19 @@ def _emit(args, record, text):
         print(text)
 
 
-def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
+# the calculus of each command that takes one only
+_TAKES = {"translate": "lc", "correspond": "lc", "bisim": "spi"}
+
+
+def _load(args):
+    """The calculus and parsed script of `args.file`, by its extension."""
+    kind = "lc" if args.file.endswith(".lc") else "spi"
+    want = _TAKES.get(args.command, kind)
+    if want != kind:
+        raise UsageError(f"{args.command} expects a .{want} file")
+    with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".lc"):
-        return "lc", parse_lc(text)
-    return "spi", parse_spi(text)
+    return kind, parse_lc(text) if kind == "lc" else parse_spi(text)
 
 
 def _parse_ctx_arg(text, freemap, supply):
@@ -79,14 +87,12 @@ def _parse_ctx_arg(text, freemap, supply):
             for name, ty in entries}
 
 
-def cmd_check(args):
-    kind, src = _load(args.file)
+def cmd_check(args, kind, src):
+    if args.name is not None:
+        _def(src, args.name)
     failures = 0
     if kind == "spi":
-        names = [args.name] if args.name else src.order
-        for name in names:
-            if name not in src.defs:
-                raise UsageError(f"no definition named {name!r}")
+        for name in src.order if args.name is None else [args.name]:
             proc, freemap, ctx = src.defs[name]
             if args.ctx is not None:
                 ctx = _parse_ctx_arg(args.ctx, freemap, src.supply)
@@ -145,19 +151,15 @@ def _records(g):
                "bound_exhausted": n.has_steps and not n.expanded}
 
 
-def cmd_step(args):
-    kind, src = _load(args.file)
+def cmd_step(args, kind, src):
+    term = _def(src, args.name)
     if kind == "lc":
-        term = _def(src, args.name)
-        steps = L.step_all(term)
-        for tag, t in steps:
+        for tag, t in L.step_all(term):
             _emit(args, {"rule": tag, "term": lam_text(t)},
                   f"{tag}: {lam_text(t)}")
         return 0
-    proc = _def(src, args.name)
     if args.all or (not args.interactive and args.seed is None):
-        steps = step_all(proc)
-        for st in steps:
+        for st in step_all(term):
             _emit(args, {"rule": st.redex.rule, "cut": st.redex.cut.display,
                          "term": process_text(st.target, canonical=True)},
                   f"{st.redex.rule} on {st.redex.cut.display}: "
@@ -176,10 +178,10 @@ def cmd_step(args):
                 raise UsageError(f"no step chosen: {i} is not a step number "
                                  f"from 0 to {len(steps) - 1}")
             return i
-        g = trace(proc, args.bound, "interactive", chooser=chooser,
+        g = trace(term, args.bound, "interactive", chooser=chooser,
                   max_states=args.max_states)
     else:
-        g = trace(proc, args.bound, "random", seed=args.seed,
+        g = trace(term, args.bound, "random", seed=args.seed,
                   max_states=args.max_states)
     for rec in _records(g):
         _emit(args, rec,
@@ -197,8 +199,7 @@ def _warn_if_cut(args, cause):
         _emit(args, {"warning": _CUT[cause]}, f"-- {_CUT[cause]}")
 
 
-def cmd_run(args):
-    kind, src = _load(args.file)
+def cmd_run(args, kind, src):
     term = _def(src, args.name)
     if kind == "lc":
         g = L.reduction_graph(term, args.bound, args.max_states)
@@ -212,11 +213,7 @@ def cmd_run(args):
     return 0
 
 
-def cmd_translate(args):
-    kind, src = _load(args.file)
-    if kind != "lc":
-        print("translate expects a .lc file", file=sys.stderr)
-        return 2
+def cmd_translate(args, kind, src):
     term = _def(src, args.name)
     check_size(term)
     tr = Translator(NameSupply(args.seed or 1))
@@ -225,22 +222,19 @@ def cmd_translate(args):
     record = {"def": args.name, "process": process_text(proc)}
     text = [process_text(proc)]
     for kind_, name, theta, gamma, tau in src.judgments:
-        if name != args.name:
-            continue
-        ctx = translate_contexts(gamma, theta, tr)
-        ctx[u] = translate_strict(tau)
-        record["context"] = ctx_text(ctx)
-        text.append(f"-- context: {ctx_text(ctx)}")
-        break
+        if name == args.name:
+            ctx = translate_contexts(gamma, theta, tr)
+            ctx[u] = translate_strict(tau)
+            record["context"] = ctx_text(ctx)
+            text.append(f"-- context: {ctx_text(ctx)}")
+            break
     _emit(args, record, "\n".join(text))
     return 0
 
 
-def cmd_bisim(args):
-    kind, src = _load(args.file)
-    p = _def(src, args.p)
-    q = _def(src, args.q)
-    res = bisim_eager(p, q, depth=args.depth, max_states=args.max_states)
+def cmd_bisim(args, kind, src):
+    res = bisim_eager(_def(src, args.p), _def(src, args.q),
+                      depth=args.depth, max_states=args.max_states)
     cut = f" -- {_CUT[res.cause]}" if res.verdict == "inconclusive" else ""
     lines = [res.verdict + cut] + [f"  {w}" for w in res.witness or ()]
     _emit(args, {"verdict": res.verdict, "witness": res.witness,
@@ -248,11 +242,7 @@ def cmd_bisim(args):
     return {"bisimilar": 0, "distinguished": 1, "inconclusive": 3}[res.verdict]
 
 
-def cmd_correspond(args):
-    kind, src = _load(args.file)
-    if kind != "lc":
-        print("correspond expects a .lc file", file=sys.stderr)
-        return 2
+def cmd_correspond(args, kind, src):
     term = _def(src, args.name)
     ms = args.max_states
     comp = check_loose_completeness(term, args.bound, ms)
@@ -336,14 +326,14 @@ def main(argv=None):
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * MAX_NESTING))
     try:
         args.max_states = _max_states()
-        return args.fn(args)
+        return args.fn(args, *_load(args))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except (SessionTypeError, LamTypeError) as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (FileNotFoundError, UsageError) as e:
+    except (OSError, UnicodeDecodeError, UsageError) as e:
         print(str(e), file=sys.stderr)
         return 2
     except RecursionError:

@@ -54,7 +54,6 @@ class Redex:
 
 @dataclass(eq=False)
 class ReductionStep:
-    source: Process
     redex: Redex
     target: Process
 
@@ -136,19 +135,15 @@ def _memo_steps(p: Process, key) -> tuple:
 def _search(p: Process, key) -> list:
     out = []
     match p:
-        case Par(_, _):
+        case Par(_, _) | NDChoice(_, _):
+            join = par_all if isinstance(p, Par) else sum_all
             parts, keys = keyed_parts(p, key)
             for i, c in enumerate(parts):
-                if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
+                if join is par_all and i and alike(parts[i - 1], keys[i - 1],
+                                                   c, keys[i]):
                     continue
                 for rdx, tgt in _memo_steps(c, keys[i]):
-                    out.append((rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])))
-        case NDChoice(_, _):
-            parts, keys = keyed_parts(p, key)
-            for i, c in enumerate(parts):
-                for rdx, tgt in _memo_steps(c, keys[i]):
-                    rebuilt = parts[:i] + [tgt] + parts[i + 1:]
-                    out.append((rdx, sum_all(rebuilt)))
+                    out.append((rdx, join(parts[:i] + [tgt] + parts[i + 1:])))
         case Restrict(x, l, r):
             _, (kl, kr) = keyed_parts(p, key)
             for rdx, tgt in _memo_steps(l, kl):
@@ -170,7 +165,7 @@ def step_all(p: Process) -> list:
         ct = scope_normalize(tgt)
         key = (rdx.rule, term_key(ct))
         if key not in seen:
-            seen[key] = ReductionStep(cp, rdx, ct)
+            seen[key] = ReductionStep(rdx, ct)
     return list(seen.values())
 
 

@@ -360,14 +360,14 @@ def succeeds_pi(p: Process, bound: int = 64, max_states: int = 6000):
 # ---------------------------------------------------------------------------
 # Correspondence harnesses
 
-def _translate_fresh(m, u_display="u"):
+def _translate_fresh(m):
     """The scope-normalized translation of m with its linear bags in key
     order (`lam.key_ordered`), so that terms with equal `lam_key`, which
     the lambda graph keeps one of, translate to processes equal up to
     canonical forms."""
     check_size(m)
     tr = Translator(NameSupply(1))
-    u = tr.supply.fresh(u_display)
+    u = tr.supply.fresh("u")
     return scope_normalize(tr.term(L.key_ordered(m), u))
 
 

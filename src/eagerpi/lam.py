@@ -561,7 +561,7 @@ def succeeds(m, bound: int = 64, max_states: int = 20000):
 # ---------------------------------------------------------------------------
 # Expansion oracle: invert the beta and substitution-splitting rules
 
-def expansions(m, supply: Optional[NameSupply] = None):
+def expansions(m):
     """Single-step predecessors of m obtained by inverting the beta rule
     (an intermediate substitution came from an application of an
     abstraction) and the substitution-splitting rule (a linear-over-

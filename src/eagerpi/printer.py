@@ -145,12 +145,10 @@ def _ty(t, prec, metas):
     return f"{tok}{' ' * tok.isalpha()}{_ty(t.body, 3, metas)}"
 
 
-def ctx_text(ctx: dict, namer=None) -> str:
-    items, metas = [], {}
-    for n, ty in ctx.items():
-        disp = n.display if namer is None else namer[n]
-        items.append(f"{disp}: {type_text(ty, metas)}")
-    return ", ".join(items)
+def ctx_text(ctx: dict) -> str:
+    metas = {}
+    return ", ".join(f"{n.display}: {type_text(ty, metas)}"
+                     for n, ty in ctx.items())
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,16 @@ def rebuild(t, new_parts, cls=None) -> SessionType:
 
 
 def dual(t: SessionType) -> SessionType:
+    """t's dual, kept on a constructor node in `_dual`: types hash by
+    value, so only the node keys its dual without walking it again."""
+    d = getattr(t, "_dual", None)
+    if d is not None:
+        return d
     cls = DUAL.get(type(t))
     if cls is not None:
-        return rebuild(t, [dual(c) for c in parts(t)], cls)
+        d = rebuild(t, [dual(c) for c in parts(t)], cls)
+        object.__setattr__(t, "_dual", d)
+        return d
     # metavariables carry their own dual partner
     partner = getattr(t, "partner", None)
     if partner is not None:

@@ -294,12 +294,11 @@ def translate_contexts(gamma: dict, theta: dict, translator: Translator,
 
 
 def check_translation_preservation(theta: dict, gamma: dict, m, tau,
-                                   pads: dict = None, verify_wf: bool = True):
+                                   pads: dict = None):
     """Translate a well-formed judgment and run the session checker on the
     translated process against the translated contexts."""
     from .typecheck import typecheck
-    if verify_wf:
-        check_wf(theta, gamma, m, tau)
+    check_wf(theta, gamma, m, tau)
     tr = Translator()
     u = tr.supply.fresh("u")
     p = tr.term(m, u)

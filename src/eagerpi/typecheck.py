@@ -64,8 +64,19 @@ def resolve(t):
 
 def _occurs(m: TMeta, t) -> bool:
     t = resolve(t)
-    return (t is m or t is m.partner
-            or any(_occurs(m, c) for c in parts(t)))
+    if isinstance(t, TMeta):
+        return t is m or t is m.partner
+    return _has_meta(t) and any(_occurs(m, c) for c in parts(t))
+
+
+def _has_meta(t) -> bool:
+    """Whether a constructor node holds a metavariable, bound or not;
+    kept on the node, as `dual` keeps its dual."""
+    has = getattr(t, "_metas", None)
+    if has is None:
+        has = any(isinstance(c, TMeta) or _has_meta(c) for c in parts(t))
+        object.__setattr__(t, "_metas", has)
+    return has
 
 
 def unify(t1, t2, where: str = ""):

@@ -1,6 +1,7 @@
 """Command surface and exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -507,3 +508,73 @@ def test_records_of_a_goal_cut_graph():
     recs = list(_records(g))
     assert [(r["node"], r["parent"]) for r in recs] == [(0, None), (1, 0)]
     assert recs[1]["rule"] and recs[1]["term"] == "OK"
+
+
+# The calculus of the commands that take one only, and each command's
+# arguments after its file, with a name that no script defines.
+TAKES = {"translate": "lc", "correspond": "lc", "bisim": "spi"}
+ARGS = {"check": ("--name", "Nope"), "step": ("Nope",), "run": ("Nope",),
+        "translate": ("Nope",), "bisim": ("Nope", "Nope"),
+        "correspond": ("Nope",)}
+SCRIPT = {"spi": "vm.spi", "lc": "corr.lc"}
+
+
+def hostile_inputs(tmp):
+    """Command lines that must each exit 2 with one line on stderr: every
+    command on a directory, on a file that is not UTF-8 and on a missing
+    file, each of a calculus it takes; translate, correspond and bisim on
+    a script of the other calculus; and every command on a name that its
+    script does not define. The unreadable inputs are made in `tmp`."""
+    cases = []
+    for ext in ("spi", "lc"):
+        os.mkdir(os.path.join(tmp, f"dir.{ext}"))
+        with open(os.path.join(tmp, f"latin1.{ext}"), "wb") as fh:
+            fh.write("def D = close café\n".encode("latin-1"))
+    for cmd, rest in ARGS.items():
+        for ext in [TAKES[cmd]] if cmd in TAKES else ["spi", "lc"]:
+            for file in ("dir", "latin1", "missing"):
+                cases.append([cmd, os.path.join(tmp, f"{file}.{ext}"), *rest])
+            cases.append([cmd, corpus_path(SCRIPT[ext]), *rest])
+    for cmd, ext in TAKES.items():
+        other = SCRIPT["lc" if ext == "spi" else "spi"]
+        cases.append([cmd, corpus_path(other), *ARGS[cmd]])
+    return cases
+
+
+def test_hostile_input_exits_2_with_one_line(capsys, tmp_path):
+    failures = []
+    for argv in hostile_inputs(str(tmp_path)):
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code != 2 or len(err.splitlines()) != 1:
+            failures.append((argv, code, err))
+    assert failures == []
+
+
+def test_wrong_calculus_names_the_expected_one(capsys):
+    for cmd, file, ext in (("bisim", "corr.lc", "spi"),
+                           ("translate", "vm.spi", "lc"),
+                           ("correspond", "vm.spi", "lc")):
+        assert main([cmd, corpus_path(file), *ARGS[cmd]]) == 2
+        assert capsys.readouterr().err == f"{cmd} expects a .{ext} file\n"
+
+
+@pytest.mark.parametrize("name, text, out", [
+    # a 1,000-deep ascription, and a cut of two 998-deep threads: each
+    # binding of a metavariable once walked and copied the rest of the type
+    ("D", "def D [x: {}] = {}close x\n".format(
+        "+{a: " * 1000 + "1" + "}" * 1000, "x#a. " * 1000),
+     "D: ok |- x: " + "+{a: " * 1000 + "1" + "}" * 1000),
+    ("C", "def C = new x ({}close x | {}wait x. 0{})\n".format(
+        "x#a. " * 998, "x&{a: " * 998, "}" * 998),
+     "C: ok |- empty"),
+], ids=["ascription", "cut"])
+def test_deep_session_types_check_in_linear_time(tmp_path, name, text, out):
+    import time
+    src = tmp_path / "deep.spi"
+    src.write_text(text)
+    start = time.perf_counter()
+    run = _cli("check", str(src))
+    assert time.perf_counter() - start < 2
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == out + "\n"
