@@ -12,6 +12,5 @@ from .lamtypes import check_wf, check_wt, embraces  # noqa: F401
 from .process import (canonicalize, free_name_split,  # noqa: F401
                       struct_congruent, substitute)
 from .sessiontypes import dual  # noqa: F401
-from .translate import (check_translation_preservation,  # noqa: F401
-                        translate_term)
+from .translate import check_translation_preservation, translate  # noqa: F401
 from .typecheck import probe_deadlock_freedom, typecheck  # noqa: F401

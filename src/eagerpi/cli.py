@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 semantic failure (type error, distinguished,
 missing witness), 2 unusable input (parse error, unreadable file, a
-script of the wrong calculus, unknown name, invalid argument, input
-nested too deeply), 3 inconclusive (a bound cut the search, or a
-translation would be too large). Every command accepts --json to emit
-line-delimited records instead of prose. The environment variable
-EAGERPI_MAX_STATES (a positive integer, 6000 if unset) caps state-space
-sizes.
+script of the wrong calculus, an option a .lc script cannot use, unknown
+name, invalid argument, input nested too deeply), 3 inconclusive (a
+bound cut the search, or a translation would be too large). Every
+command accepts --json to emit line-delimited records instead of prose.
+The environment variable EAGERPI_MAX_STATES (a positive integer, 6000 if
+unset) caps state-space sizes.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from .eager import step_all, trace
 from .equivalence import (bisim_eager, check_loose_completeness,
                           check_loose_soundness, check_success_sensitivity)
 from .lamtypes import LamTypeError, check_wf, check_wt
-from .names import NameSupply
 from .parser import (MAX_NESTING, ParseError, _Cursor, parse_context,
                      parse_lc, parse_spi, tokenize)
 from .printer import ctx_text, lam_text, process_text
-from .translate import (TranslationTooLarge, Translator, check_size,
-                        translate_contexts, translate_strict)
+from .translate import TranslationTooLarge, translate
 from .typecheck import SessionTypeError, infer_context, typecheck
 
 
@@ -66,8 +64,10 @@ def _emit(args, record, text):
         print(text)
 
 
-# the calculus of each command that takes one only
+# the calculus of each command that takes one only, and the options that
+# only a .spi script can use
 _TAKES = {"translate": "lc", "correspond": "lc", "bisim": "spi"}
+_SPI_ONLY = ("ctx", "seed", "interactive")
 
 
 def _load(args):
@@ -76,6 +76,9 @@ def _load(args):
     want = _TAKES.get(args.command, kind)
     if want != kind:
         raise UsageError(f"{args.command} expects a .{want} file")
+    for opt in _SPI_ONLY if kind == "lc" else ():
+        if getattr(args, opt, None) is not None:
+            raise UsageError(f"{args.command} --{opt} needs a .spi file")
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     return kind, parse_lc(text) if kind == "lc" else parse_spi(text)
@@ -214,20 +217,14 @@ def cmd_run(args, kind, src):
 
 
 def cmd_translate(args, kind, src):
-    term = _def(src, args.name)
-    check_size(term)
-    tr = Translator(NameSupply(args.seed or 1))
-    u = tr.supply.fresh("u")
-    proc = tr.term(term, u)
+    judgment = next(((theta, gamma, tau) for _, name, theta, gamma, tau
+                     in src.judgments if name == args.name), None)
+    proc, ctx = translate(_def(src, args.name), judgment)
     record = {"def": args.name, "process": process_text(proc)}
-    text = [process_text(proc)]
-    for kind_, name, theta, gamma, tau in src.judgments:
-        if name == args.name:
-            ctx = translate_contexts(gamma, theta, tr)
-            ctx[u] = translate_strict(tau)
-            record["context"] = ctx_text(ctx)
-            text.append(f"-- context: {ctx_text(ctx)}")
-            break
+    text = [record["process"]]
+    if ctx is not None:
+        record["context"] = ctx_text(ctx, proc)
+        text.append(f"-- context: {record['context']}")
     _emit(args, record, "\n".join(text))
     return 0
 
@@ -285,7 +282,7 @@ def main(argv=None):
     s.add_argument("file")
     s.add_argument("name")
     s.add_argument("--all", action="store_true")
-    s.add_argument("--interactive", action="store_true")
+    s.add_argument("--interactive", action="store_true", default=None)
     s.add_argument("--seed", type=int)
     s.add_argument("--bound", type=_natural, default=64)
     s.add_argument("--json", action="store_true")
@@ -301,7 +298,6 @@ def main(argv=None):
     t = sub.add_parser("translate", help="translate a lambda term")
     t.add_argument("file")
     t.add_argument("name")
-    t.add_argument("--seed", type=int)
     t.add_argument("--json", action="store_true")
     t.set_defaults(fn=cmd_translate)
 
@@ -333,8 +329,11 @@ def main(argv=None):
     except (SessionTypeError, LamTypeError) as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError, UsageError) as e:
+    except (OSError, UsageError) as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"{args.file}: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)

@@ -32,11 +32,11 @@ from itertools import combinations
 from . import graph
 from . import lam as L
 from .eager import exploration, step_all
-from .names import Name, NameSupply
+from .names import Name
 from .process import (PREFIXED, NDChoice, Par, Process, Restrict, Success,
                       canonicalize, free_names, par_all, par_parts,
                       scope_normalize, sum_parts, term_key)
-from .translate import Translator, check_size
+from .translate import translate
 
 
 @dataclass(frozen=True)
@@ -365,10 +365,7 @@ def _translate_fresh(m):
     order (`lam.key_ordered`), so that terms with equal `lam_key`, which
     the lambda graph keeps one of, translate to processes equal up to
     canonical forms."""
-    check_size(m)
-    tr = Translator(NameSupply(1))
-    u = tr.supply.fresh("u")
-    return scope_normalize(tr.term(L.key_ordered(m), u))
+    return scope_normalize(translate(L.key_ordered(m))[0])
 
 
 def _reach_closure(nodes, seeds):

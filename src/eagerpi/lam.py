@@ -176,6 +176,18 @@ def llfv(m) -> frozenset:
     return frozenset(out)
 
 
+def ids(m) -> set:
+    """The id of every variable of a term or bag, free or bound."""
+    names, binder, subs = BINDING[type(m)]
+    out = {v.id for f in names + ((binder,) if binder else ())
+           for v in _entries(getattr(m, f))}
+    for f in subs:
+        for t in _entries(getattr(m, f)):
+            if t is not None:
+                out |= ids(t)
+    return out
+
+
 def llfv_bag(bg) -> frozenset:
     return llfv(bg)
 
@@ -459,20 +471,15 @@ def _local_steps(m, h=None):
         case App(Fail(vs), bg):
             out.append(("cons1", Fail(vs | llfv_bag(bg))))
         case InterSub(Sharing(sb, als, sv), bg, v) if sv == v:
-            size_ok = len(bg.linear) == len(als)
-            if isinstance(sb, Fail):
-                if size_ok:
-                    newset = (sb.vars - set(als)) | llfv_items(bg.linear)
-                    out.append(("cons2", Fail(frozenset(newset))))
-                else:
-                    newset = (llfv(sb) - set(als)) | llfv_items(bg.linear)
-                    out.append(("fail-lin", Fail(frozenset(newset))))
-            elif size_ok:
-                out.append(("ex-sub",
-                            UnrSub(LinSub(sb, bg.linear, als), bg.unr, v)))
-            else:
+            if len(bg.linear) != len(als):
                 newset = (llfv(sb) - set(als)) | llfv_items(bg.linear)
                 out.append(("fail-lin", Fail(frozenset(newset))))
+            elif isinstance(sb, Fail):
+                newset = (sb.vars - set(als)) | llfv_items(bg.linear)
+                out.append(("cons2", Fail(frozenset(newset))))
+            else:
+                out.append(("ex-sub",
+                            UnrSub(LinSub(sb, bg.linear, als), bg.unr, v)))
         case LinSub(b, items, vs):
             if isinstance(b, Fail):
                 if set(vs) <= b.vars:

@@ -2,10 +2,10 @@
 
 Binders are freshened at every introduction (parse, rule instantiation,
 copy) from the supply at hand. Equality and hashing compare the id and the
-display together: supplies are not shared, and the translation of a λ term
-draws from a fresh `NameSupply(1)` that restarts at 1 while the term's
-variables keep the parser's ids, so one id can carry two displays in one
-process. Printing reads the display.
+display together: supplies are not shared, so names from two separate
+parses can share an id. The translation of a λ term draws from a supply
+that starts above every id of the term and of its judgment, so it shares
+no id with the term. Printing reads the display.
 """
 
 from __future__ import annotations

@@ -22,16 +22,18 @@ from . import sessiontypes as T
 
 
 class _Namer:
-    def __init__(self, term, canonical=False, kind="pi"):
+    def __init__(self, frees, canonical=False):
         self.canonical = canonical
         self.names = {}
         self.used = set()
         self.counter = 0
-        if kind == "pi":
-            frees = P.free_names(term)
-        else:
-            frees = L.free_vars(term)
-        for n in sorted(frees, key=lambda n: (n.display, n.id)):
+        self.free(frees)
+
+    def free(self, frees):
+        """Name the free names not named yet: each by its display, with
+        its id appended while that text is taken."""
+        for n in sorted(set(frees) - self.names.keys(),
+                        key=lambda n: (n.display, n.id)):
             text = n.display
             while text in self.used:
                 text = f"{text}_{n.id}"
@@ -58,7 +60,7 @@ class _Namer:
 def process_text(p: P.Process, canonical: bool = False) -> str:
     if canonical:
         p = P.canonicalize(p)
-    return _proc(p, _Namer(p, canonical, "pi"))
+    return _proc(p, _Namer(P.free_names(p), canonical))
 
 
 def _group(p, nm):
@@ -145,9 +147,13 @@ def _ty(t, prec, metas):
     return f"{tok}{' ' * tok.isalpha()}{_ty(t.body, 3, metas)}"
 
 
-def ctx_text(ctx: dict) -> str:
+def ctx_text(ctx: dict, p: Optional[P.Process] = None) -> str:
+    """The entries of a typing context; a name free in p reads as
+    `process_text(p)` prints it."""
+    nm = _Namer(() if p is None else P.free_names(p))
+    nm.free(ctx)
     metas = {}
-    return ", ".join(f"{n.display}: {type_text(ty, metas)}"
+    return ", ".join(f"{nm[n]}: {type_text(ty, metas)}"
                      for n, ty in ctx.items())
 
 
@@ -155,7 +161,7 @@ def ctx_text(ctx: dict) -> str:
 # Lambda terms
 
 def lam_text(m: L.Term, canonical: bool = False) -> str:
-    return _lam(m, _Namer(m, canonical, "lam"))
+    return _lam(m, _Namer(L.free_vars(m), canonical))
 
 
 def _lam(m, nm):

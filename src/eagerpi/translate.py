@@ -68,26 +68,16 @@ def branch_count(m) -> int:
     return 1
 
 
-def check_size(m):
-    """Raise `TranslationTooLarge` if the translation of m would build
-    more than `MAX_BRANCHES` sum branches."""
-    n = branch_count(m)
-    if n > MAX_BRANCHES:
-        raise TranslationTooLarge(
-            f"translation too large: {n} sum branches, over the bound of "
-            f"{MAX_BRANCHES}")
-
-
 class Translator:
-    """Seeded, deterministic translation context.
+    """Deterministic translation context over a name supply.
 
     `channels` maps a lambda variable to its (linear, persistent) channel
     pair; free variables map to themselves plus a derived persistent name,
     so independent translations of related terms agree on free channels.
     """
 
-    def __init__(self, supply: NameSupply = None):
-        self.supply = supply or NameSupply(1)
+    def __init__(self, supply: NameSupply):
+        self.supply = supply
         self.channels = {}
 
     def lin(self, v: Name) -> Name:
@@ -227,12 +217,6 @@ class Translator:
         return Branch(x, tuple(branches))
 
 
-def translate_term(m, u: Name, supply: NameSupply = None,
-                   translator: Translator = None) -> Process:
-    tr = translator or Translator(supply)
-    return tr.term(m, u)
-
-
 # ---------------------------------------------------------------------------
 # Type translation
 
@@ -293,16 +277,34 @@ def translate_contexts(gamma: dict, theta: dict, translator: Translator,
     return ctx
 
 
+def translate(m, judgment=None, pads: dict = None):
+    """The translation of m on a fresh name u and, given a judgment
+    (theta, gamma, tau), its context with u at the translation of tau
+    (else None); over `MAX_BRANCHES` it raises before building anything.
+    Names are drawn above every id in m and the judgment, free or bound,
+    so no binder of the translation captures a variable of the term."""
+    n = branch_count(m)
+    if n > MAX_BRANCHES:
+        raise TranslationTooLarge(
+            f"translation too large: {n} sum branches, over the bound of "
+            f"{MAX_BRANCHES}")
+    theta, gamma, tau = judgment or ({}, {}, None)
+    top = max(L.ids(m) | {v.id for v in (*theta, *gamma)}, default=0)
+    tr = Translator(NameSupply(top + 1))
+    u = tr.supply.fresh("u")
+    p = tr.term(m, u)
+    if judgment is None:
+        return p, None
+    ctx = translate_contexts(gamma, theta, tr, pads)
+    ctx[u] = translate_strict(tau)
+    return p, ctx
+
+
 def check_translation_preservation(theta: dict, gamma: dict, m, tau,
                                    pads: dict = None):
     """Translate a well-formed judgment and run the session checker on the
     translated process against the translated contexts."""
     from .typecheck import typecheck
     check_wf(theta, gamma, m, tau)
-    tr = Translator()
-    u = tr.supply.fresh("u")
-    p = tr.term(m, u)
-    ctx = translate_contexts(gamma, theta, tr, pads)
-    ctx[u] = translate_strict(tau)
-    typecheck(p, ctx)
+    typecheck(*translate(m, (theta, gamma, tau), pads))
     return True

@@ -200,14 +200,8 @@ class Checker:
                     out[n] = (LIN, t)
                 else:
                     payload = TMeta()
-                    for e in entries:
-                        if e is None:
-                            continue
-                        if e[0] == LIN:
-                            unify(e[1], Query(payload), where)
-                        else:
-                            for p in e[1]:
-                                unify(p, payload, where)
+                    for e in filter(None, entries):
+                        unify(self._type(e, where), Query(payload), where)
                     out[n] = (SHARED, [payload])
             except SessionTypeError as err:
                 raise SessionTypeError(
@@ -220,9 +214,12 @@ class Checker:
         """Remove n from a usage map, yielding the session type this
         subterm demands for it; an absent name is only weakenable at a
         query type."""
-        if n not in uses:
-            return Query(TMeta())
-        kind, data = uses.pop(n)
+        return self._type(uses.pop(n, (SHARED, [])), where)
+
+    def _type(self, entry, where):
+        """The session type a usage entry demands: its linear type, or a
+        query over the payloads of its client requests."""
+        kind, data = entry
         if kind == LIN:
             return data
         payload = TMeta()
@@ -400,17 +397,12 @@ class Checker:
 
     def check(self, p: Process, ctx: dict) -> dict:
         uses = self.synth(p)
-        for n, (kind, data) in uses.items():
+        for n, entry in uses.items():
             if n not in ctx:
                 raise SessionTypeError(
                     "UnboundName", f"free name {n.display} not in the context")
-            if kind == LIN:
-                unify(data, ctx[n], f"context entry {n.display}")
-            else:
-                payload = TMeta()
-                unify(ctx[n], Query(payload), f"context entry {n.display}")
-                for q in data:
-                    unify(q, payload, f"context entry {n.display}")
+            where = f"context entry {n.display}"
+            unify(self._type(entry, where), ctx[n], where)
         self._solve()
         for n, t in ctx.items():
             if n not in uses and not isinstance(zonk(t), Query):
@@ -422,16 +414,8 @@ class Checker:
     def infer(self, p: Process) -> dict:
         uses = self.synth(p)
         self._solve()
-        out = {}
-        for n, (kind, data) in uses.items():
-            if kind == LIN:
-                out[n] = _default(zonk(data))
-            else:
-                payload = TMeta()
-                for q in data:
-                    unify(payload, q, f"context entry {n.display}")
-                out[n] = _default(zonk(Query(payload)))
-        return out
+        return {n: _default(zonk(self._type(e, f"context entry {n.display}")))
+                for n, e in uses.items()}
 
 
 def _default(t):

@@ -6,6 +6,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from eagerpi.equivalence import _translate_fresh
 from eagerpi.parser import parse_lc, parse_spi
 from eagerpi.printer import process_text
 from eagerpi.process import Process, term_key
@@ -26,6 +27,29 @@ def load_spi(name):
 def load_lc(name):
     with open(corpus_path(name), "r", encoding="utf-8") as fh:
         return parse_lc(fh.read())
+
+
+# The inputs of the oracle tests, kept here for all of them.
+SPI_FILES = ("movie.spi", "vm.spi", "generated.spi")
+# criterion 9: the closed corr.lc terms, explored at the correspondence bound
+CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
+          "T15", "T16", "T17", "T18")
+# the open terms have no normal form within bound 30, and the reference
+# scope search takes about 25 ms per target on their states, so they are
+# explored less deeply
+OPEN = ("T05", "T07", "T09", "T13", "T14")
+
+
+def spi_corpus():
+    """Every definition of the .spi corpus files: name -> process."""
+    return {n: d[0] for f in SPI_FILES for n, d in load_spi(f).defs.items()}
+
+
+def translations(names=None, file="corr.lc"):
+    """name -> `_translate_fresh` of the term, for the named definitions
+    of an .lc corpus file, or for all of them."""
+    defs = load_lc(file).defs
+    return {n: _translate_fresh(defs[n][0]) for n in names or defs}
 
 
 def _fresh(x):

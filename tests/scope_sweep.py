@@ -17,15 +17,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
 from eagerpi.printer import process_text  # noqa: E402
-from tests.test_scope_normal import (corr_roots, splits, spi_roots,  # noqa: E402
-                                     states)
-from tests.conftest import load_lc  # noqa: E402
+from tests.conftest import spi_corpus, translations  # noqa: E402
+from tests.test_scope_normal import splits, states  # noqa: E402
 
 
 def main():
-    corr = corr_roots(tuple(load_lc("corr.lc").order))
-    corr += corr_roots(("M",), "ex32.lc")
-    runs = ((states(spi_roots(), 64), 5), (states(corr, 30), 3))
+    corr = [*translations().values(),
+            *translations(("M",), "ex32.lc").values()]
+    runs = ((states(spi_corpus().values(), 64), 5), (states(corr, 30), 3))
     walks = 0
     for found, per_state in runs:
         walks += len(found) * per_state

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from eagerpi.eager import _local_steps
-from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.equivalence import explore
 from eagerpi.gen import generate_corpus
 from eagerpi.names import NameSupply
 from eagerpi.printer import process_text
@@ -31,26 +31,8 @@ from eagerpi.process import (Close, Inaction, Input, NDChoice, Par, Restrict,
                              scope_normalize, scope_rewrites, term_key)
 from tests import reference_canon as ref
 from tests import reference_scope as scope
-from tests.conftest import _fresh, assert_fixpoint, load_lc, load_spi
-
-# criterion 9: the closed corr.lc terms, explored at the correspondence bound
-CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
-          "T15", "T16", "T17", "T18")
-# the open terms have no normal form within bound 30, and the reference
-# takes about 25 ms per target on their states, so they are explored less
-# deeply
-OPEN = ("T05", "T07", "T09", "T13", "T14")
-
-
-def _corpus():
-    return [d[0] for f in ("movie.spi", "vm.spi", "generated.spi")
-            for d in load_spi(f).defs.values()]
-
-
-def _translations(file, names):
-    defs = load_lc(file).defs
-    return [_translate_fresh(defs[n][0]) for n in names]
-
+from tests.conftest import (CLOSED, OPEN, _fresh, assert_fixpoint,
+                            spi_corpus, translations)
 
 def _chain(n, seed=None):
     """new x1 (close x1 | new x2 (close x2 | ... new xn (close xn |
@@ -109,17 +91,17 @@ def _rewrites(roots, bound, every):
 # each source builds its inputs; the chain's two orders share a reference
 # key, so it alone is not deduplicated
 SOURCES = {
-    "spi-corpus": lambda: _unique(_raw_targets(_corpus(), 64)),
+    "spi-corpus": lambda: _unique(_raw_targets(spi_corpus().values(), 64)),
     "corr-closed": lambda: _unique(
-        _raw_targets(_translations("corr.lc", CLOSED), 30)),
+        _raw_targets(translations(CLOSED).values(), 30)),
     "corr-open": lambda: _unique(
-        _raw_targets(_translations("corr.lc", OPEN), 8)),
+        _raw_targets(translations(OPEN).values(), 8)),
     "ex32-M": lambda: _unique(
-        _raw_targets(_translations("ex32.lc", ("M",)), 30)),
+        _raw_targets(translations(("M",), "ex32.lc").values(), 30)),
     "generated": lambda: _unique(_raw_targets(generate_corpus(3, 40), 12)),
-    "rewrites-spi": lambda: _unique(_rewrites(_corpus(), 64, 4)),
+    "rewrites-spi": lambda: _unique(_rewrites(spi_corpus().values(), 64, 4)),
     "rewrites-corr": lambda: _unique(
-        _rewrites(_translations("corr.lc", CLOSED), 30, 8)),
+        _rewrites(translations(CLOSED).values(), 30, 8)),
     "chains": lambda: [_chain(80), _chain(80, seed=1)],
 }
 
@@ -152,7 +134,7 @@ def test_canonical_forms_are_fixpoints():
     key the reference computes for it from scratch. A form that keeps its
     key is returned unwalked, so the fixpoint is also checked on a copy
     without cached values."""
-    for p in _corpus():
+    for p in spi_corpus().values():
         c = canonicalize(p)
         assert canonicalize(c) is c
         assert term_key(c) == ref.term_key(c)

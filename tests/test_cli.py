@@ -517,14 +517,19 @@ ARGS = {"check": ("--name", "Nope"), "step": ("Nope",), "run": ("Nope",),
         "translate": ("Nope",), "bisim": ("Nope", "Nope"),
         "correspond": ("Nope",)}
 SCRIPT = {"spi": "vm.spi", "lc": "corr.lc"}
+# each option that a .lc script cannot use, on a command line that has it
+SPI_ONLY = {"--ctx": ("check", "--ctx", "x: 1"),
+            "--seed": ("step", "T01", "--seed", "1"),
+            "--interactive": ("step", "T01", "--interactive")}
 
 
 def hostile_inputs(tmp):
     """Command lines that must each exit 2 with one line on stderr: every
     command on a directory, on a file that is not UTF-8 and on a missing
     file, each of a calculus it takes; translate, correspond and bisim on
-    a script of the other calculus; and every command on a name that its
-    script does not define. The unreadable inputs are made in `tmp`."""
+    a script of the other calculus; every command on a name that its
+    script does not define; and the options of `SPI_ONLY` on a .lc
+    script. The unreadable inputs are made in `tmp`."""
     cases = []
     for ext in ("spi", "lc"):
         os.mkdir(os.path.join(tmp, f"dir.{ext}"))
@@ -538,6 +543,8 @@ def hostile_inputs(tmp):
     for cmd, ext in TAKES.items():
         other = SCRIPT["lc" if ext == "spi" else "spi"]
         cases.append([cmd, corpus_path(other), *ARGS[cmd]])
+    for cmd, *rest in SPI_ONLY.values():
+        cases.append([cmd, corpus_path(SCRIPT["lc"]), *rest])
     return cases
 
 
@@ -557,6 +564,20 @@ def test_wrong_calculus_names_the_expected_one(capsys):
                            ("correspond", "vm.spi", "lc")):
         assert main([cmd, corpus_path(file), *ARGS[cmd]]) == 2
         assert capsys.readouterr().err == f"{cmd} expects a .{ext} file\n"
+
+
+def test_lc_refusals_name_the_option_or_file(capsys, tmp_path):
+    for opt, (cmd, *rest) in SPI_ONLY.items():
+        assert main([cmd, corpus_path("corr.lc"), *rest]) == 2
+        assert capsys.readouterr().err == f"{cmd} {opt} needs a .spi file\n"
+    path = tmp_path / "latin1.spi"
+    path.write_bytes("def D = close café\n".encode("latin-1"))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: ")
+    assert main(["step", corpus_path("corr.lc"), "T01", "--all"]) == 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["translate", corpus_path("ex32.lc"), "M0", "--seed", "1"])
+    assert exit_.value.code == 2
 
 
 @pytest.mark.parametrize("name, text, out", [

@@ -21,11 +21,11 @@ import pytest
 from eagerpi import eager, equivalence
 from eagerpi import lam as L
 from eagerpi.eager import trace
-from eagerpi.equivalence import _translate_fresh, explore, succeeds_pi
+from eagerpi.equivalence import explore, succeeds_pi
 from eagerpi.parser import parse_lc
 from eagerpi.process import term_key
 from tests import reference_explore as ref
-from tests.conftest import load_lc, load_spi
+from tests.conftest import load_lc, spi_corpus, translations
 
 PI_BOUNDS = (0, 1, 2, 3, 4, 6, 10, 30)
 LAMBDA_BOUNDS = (0, 1, 2, 3, 5, 16, 64)
@@ -39,16 +39,6 @@ COMPLETED = {("G025", 3), ("G028", 1), ("G055", 1), ("G063", 2),
 # the same for (lambda term, bound) pairs
 COMPLETED_LAMBDA = {("family/A3_3", 16), ("family/A4_4", 16),
                     ("family/B4_4", 16), ("family/B5_5", 16)}
-
-
-def _corpus():
-    return [(n, d[0]) for f in ("movie.spi", "vm.spi", "generated.spi")
-            for n, d in load_spi(f).defs.items()]
-
-
-def _translations():
-    return [(n, _translate_fresh(d[0]))
-            for n, d in load_lc("corr.lc").defs.items()]
 
 
 def _lambda_family():
@@ -147,17 +137,17 @@ def _check_processes(procs):
 
 
 def test_corpus_graphs_match_reference(shared_steps):
-    assert _check_processes(_corpus()) == COMPLETED
+    assert _check_processes(spi_corpus().items()) == COMPLETED
 
 
 def test_translation_graphs_match_reference(shared_steps):
-    assert _check_processes(_translations()) == set()
+    assert _check_processes(translations().items()) == set()
 
 
 def test_state_cap_matches_reference(shared_steps):
     # both sides stop after the first expansion that leaves more than
     # `cap` states
-    for _, p in _corpus():
+    for p in spi_corpus().values():
         for cap in CAPS:
             nodes, done = _compare_explore(p, 30, cap)
             assert not done and not _compare_trace(p, 30, nodes, cap)

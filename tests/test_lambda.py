@@ -131,6 +131,16 @@ def test_exsub_and_fail_are_exclusive():
         assert tags == [want]
 
 
+def test_failing_sharing_fed_a_bag_of_the_wrong_size():
+    """fail-lin, not cons2, on a sharing whose body already fails: the
+    failure keeps the bag's variables and drops the aliases."""
+    m = term("(\\x. fail{x1, x2} [x1, x2 <- x]) <y>")
+    inter = dict(L.step_all(m))["beta"]
+    (tag, t), = L.step_all(inter)
+    assert tag == "fail-lin"
+    assert isinstance(t, L.Fail) and {v.display for v in t.vars} == {"y"}
+
+
 def test_normal_forms_keep_empty_substitutions(ex32):
     n2 = ex32.defs["N2"][0]
     reachable, _ = L.reachable(n2, 20)

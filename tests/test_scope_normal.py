@@ -18,26 +18,14 @@ import time
 
 import pytest
 
-from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.equivalence import explore
 from eagerpi.names import NameSupply
-from eagerpi.process import (Close, Expect, Inaction, Restrict, Wait,
-                             par_all, scope_normalize, scope_rewrites,
-                             sum_all, term_key)
+from eagerpi.process import (Close, Expect, Inaction, Par, Restrict, Wait,
+                             freshen_binders, par_all, scope_normalize,
+                             scope_rewrites, sum_all, term_key)
 from tests import reference_scope
-from tests.conftest import load_lc, load_spi
-
-CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
-          "T15", "T16", "T17", "T18")
-
-
-def spi_roots():
-    return [d[0] for f in ("movie.spi", "vm.spi", "generated.spi")
-            for d in load_spi(f).defs.values()]
-
-
-def corr_roots(names=CLOSED, file="corr.lc"):
-    defs = load_lc(file).defs
-    return [_translate_fresh(defs[n][0]) for n in names]
+from tests.conftest import (CLOSED, assert_fixpoint, load_spi, spi_corpus,
+                            translations)
 
 
 def states(roots, bound):
@@ -73,8 +61,8 @@ def splits(states, walks, steps, seed=0):
 
 
 SOURCES = {
-    "spi-corpus": lambda: states(spi_roots(), 64),
-    "corr-closed": lambda: states(corr_roots(), 30),
+    "spi-corpus": lambda: states(spi_corpus().values(), 64),
+    "corr-closed": lambda: states(translations(CLOSED).values(), 30),
 }
 
 
@@ -151,4 +139,82 @@ def test_star_of_symmetric_binders_normalizes_at_once(shape):
         start = time.perf_counter()
         keys.add(term_key(scope_normalize(p)))
         assert time.perf_counter() - start < 2
+    assert len(keys) == 1
+
+
+def test_a_restriction_held_twice_is_freshened():
+    """A cluster may hold one restriction node twice; its second binder is
+    renamed as it is flattened, so the cluster keys as if one copy's
+    binders were fresh."""
+    s = NameSupply(1)
+    z, x = s.fresh("z"), s.fresh("x")
+    q = Restrict(x, Close(x), Wait(x, Inaction()))
+
+    def around(q2):
+        return Restrict(z, Close(z), Par(Wait(z, Inaction()), Par(q, q2)))
+
+    assert term_key(scope_normalize(around(q))) == term_key(
+        scope_normalize(around(freshen_binders(q, NameSupply(10)))))
+
+
+def test_a_binder_straddled_by_a_cycle_is_not_outermost():
+    """An untyped cycle of threads a - b - c: without a, the threads stay
+    joined through b and c across a's two sides, so a cannot be cut
+    first. Two nestings one scope swap apart get one key."""
+    s = NameSupply(1)
+    a, b, c = s.fresh("a"), s.fresh("b"), s.fresh("c")
+    tab, tbc, tca = Wait(a, Close(b)), Wait(b, Close(c)), Wait(c, Close(a))
+    p = Restrict(c, Restrict(a, Restrict(b, tab, tbc), tca), Inaction())
+    q = Restrict(c, Restrict(b, Restrict(a, tab, tca), tbc), Inaction())
+    assert reference_scope.struct_congruent(p, q)
+    form = scope_normalize(p)
+    assert term_key(form) == term_key(scope_normalize(q))
+    assert_fixpoint(form, scope_normalize)
+
+
+def cycles(rng):
+    """Seven binders on a triangle and a square of threads `close a ++
+    close b`, joined by one thread that closes them all. Every binder
+    looks alike from its own threads, but no binder of the triangle is
+    the twin of one of the square. Threads and binders in seeded order."""
+    s = NameSupply(1)
+    a = [s.fresh(f"a{i}") for i in range(7)]
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    threads = [sum_all(map(Close, a))] + \
+        [sum_all([Close(a[i]), Close(a[j])]) for i, j in edges]
+    rng.shuffle(threads)
+    p = par_all(threads)
+    for x in rng.sample(a, len(a)):
+        p = Restrict(x, p, Inaction())
+    return p
+
+
+def sides(rng):
+    """Three binders closed by one thread, each also held by three threads
+    of a part `new k (...)` that hold k too. Two parts put k's holders on
+    both sides of k, one on one side. The three binders tie on bound and
+    rank, but the one with the one-sided part is no twin of the others.
+    The parts and the binders in seeded order."""
+    s = NameSupply(1)
+    tied, inner = [s.fresh(c) for c in "ijh"], [s.fresh(c) for c in "kmn"]
+    apart = rng.sample([True, True, False], 3)
+    p = sum_all(map(Close, tied))
+    for i in rng.sample(range(3), 3):
+        b, c = tied[i], inner[i]
+        t1, t2, t3 = (Wait(b, Wait(c, Inaction())), Wait(c, Close(b)),
+                      Wait(b, Close(c)))
+        part = Restrict(c, Par(t1, t3), t2) if apart[i] else \
+            Restrict(c, t3, Par(t1, t2))
+        p = Restrict(b, p, part)
+    return p
+
+
+@pytest.mark.parametrize("build", [cycles, sides])
+def test_tied_binders_of_two_orbits_key_alike_in_any_order(build):
+    """Of three or more tied binders, `twins` finds that some are not one
+    orbit, and each of those is tried."""
+    rng = random.Random(5)
+    keys = {term_key(scope_normalize(build(rng))) for _ in range(6)}
+    fresh = freshen_binders(build(rng), NameSupply(100))
+    keys.add(term_key(scope_normalize(fresh)))
     assert len(keys) == 1

@@ -6,13 +6,14 @@ import pytest
 
 from eagerpi.gen import random_type
 from eagerpi.names import NameSupply
-from eagerpi.parser import session_type_of
+from eagerpi.parser import parse_spi, session_type_of
+from eagerpi.printer import ctx_text
 from eagerpi.process import (Close, Forward, Inaction, NDChoice, Par,
                              Restrict, Success, Wait)
 from eagerpi.sessiontypes import (Bang, Bot, ExpectT, Maybe, One, Parr,
                                   Query, Tensor, dual, plus, with_)
-from eagerpi.typecheck import (SessionTypeError, probe_deadlock_freedom,
-                               typecheck, typechecks)
+from eagerpi.typecheck import (SessionTypeError, infer_context,
+                               probe_deadlock_freedom, typecheck, typechecks)
 
 s = NameSupply(1)
 x, y = s.fresh("x"), s.fresh("y")
@@ -119,6 +120,50 @@ def test_error_server_captures_linear():
     with pytest.raises(SessionTypeError) as e:
         typecheck(p, {x: Bang(One()), y: One()})
     assert e.value.code == "NonServerContextForBang"
+
+
+def _judge(text):
+    """The context of a one-definition script `def D...`: checked against
+    its ascription if it has one, else inferred."""
+    p, _, ctx = parse_spi(f"def D{text}\n").defs["D"]
+    return ctx_text(infer_context(p) if ctx is None else typecheck(p, ctx))
+
+
+@pytest.mark.parametrize("text, code", [
+    (" = wait x. close x", "LinearNameReused"),
+    (" = x!(y)(close x | close y)", "LinearNameReused"),
+    (" = x!(y)(close y | close y)", "LinearNameReused"),
+    (" = !x?(y). ?x!(z). wait y. close z", "LinearNameReused"),
+    (" = ?x!(y). (close x | close y)", "LinearNameReused"),
+    (" = new x (close y | close z)", "UnboundName"),
+    (" = new x (?x!(y). close y | ?x!(z). close z)", "TypeMismatch"),
+    (" = new x (?x!(y). close y | close w)", "TypeMismatch"),
+    (" = [x<->x]", "TypeMismatch"),
+    (" [x: &{a: 1}] = x&{b: close x}", "TypeMismatch"),
+    # a second client request on x, whose payload is the dual of the first
+    (" = ?x!(y). ?x!(z). [y<->z]", "TypeMismatch"),
+    (" = expect x [y]. close y", "NonMonadicContextForExpect"),
+])
+def test_each_rule_rejects_its_misuse(text, code):
+    with pytest.raises(SessionTypeError) as e:
+        _judge(text)
+    assert e.value.code == code
+
+
+@pytest.mark.parametrize("text, out", [
+    (" = ?x!(y). close y", "x: ?1"),
+    (" = ?x!(y). ?x!(z). (close y | close z)", "x: ?1"),
+    (" [x: ?1] = ?x!(y). close y | ?x!(z). close z", "x: ?1"),
+])
+def test_client_requests_type_at_a_query(text, out):
+    assert _judge(text) == out
+
+
+def test_client_requests_against_a_server_type():
+    with pytest.raises(SessionTypeError) as e:
+        _judge(" [x: !1] = ?x!(y). close y")
+    assert str(e.value) == \
+        "TypeMismatch: expected ?1, found !1 at context entry x"
 
 
 def test_unused_query_entry_is_weakened():

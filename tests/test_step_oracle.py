@@ -18,32 +18,19 @@ import random
 import pytest
 
 from eagerpi.eager import _local_steps, exploration, step_all
-from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.equivalence import explore
 from eagerpi.gen import generate_corpus
 from eagerpi.names import Name
 from eagerpi.parser import parse_spi
 from eagerpi.process import (Close, Inaction, Par, Restrict, Wait,
                              canonicalize, scope_rewrites, term_key)
 from tests import reference_steps as ref
-from tests.conftest import load_lc, load_spi
-
-CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
-          "T15", "T16", "T17", "T18")
-
-
-def _corpus():
-    return [d[0] for f in ("movie.spi", "vm.spi", "generated.spi")
-            for d in load_spi(f).defs.values()]
-
-
-def _translations():
-    defs = load_lc("corr.lc").defs
-    return [_translate_fresh(defs[n][0]) for n in CLOSED]
+from tests.conftest import CLOSED, spi_corpus, translations
 
 
 SOURCES = {
-    "spi-corpus": (_corpus, 64),
-    "corr-closed": (_translations, 30),
+    "spi-corpus": (lambda: spi_corpus().values(), 64),
+    "corr-closed": (lambda: translations(CLOSED).values(), 30),
     "generated": (lambda: generate_corpus(5, 40), 12),
 }
 

@@ -1,18 +1,27 @@
 """The term and type translations and the preservation harness."""
 
+import json
+import time
+
+import pytest
+
 from eagerpi import lam as L
+from eagerpi.cli import main
+from eagerpi.equivalence import _translate_fresh
 from eagerpi.lamtypes import Mult, OMEGA, UnitT
 from eagerpi.names import NameSupply
 from eagerpi.parser import parse_lc, strict_type_of
-from eagerpi.process import (Forward, NoneAvail, SomeAvail, par_parts,
-                             sum_parts)
+from eagerpi.process import (BINDING, Forward, NoneAvail, SomeAvail,
+                             _children, par_parts, sum_parts)
 from eagerpi.sessiontypes import (Bang, ExpectT, Maybe, One, Parr, Tensor,
                                   With, dual)
-from eagerpi.translate import (Translator, check_translation_preservation,
-                               translate_contexts, translate_list,
-                               translate_multiset, translate_strict,
-                               translate_term, translate_tuple)
+from eagerpi.translate import (TranslationTooLarge, Translator,
+                               check_translation_preservation,
+                               translate, translate_contexts,
+                               translate_list, translate_multiset,
+                               translate_strict, translate_tuple)
 from tests import reference_canon as ref
+from tests.conftest import load_lc, perfbench_workloads
 
 U = UnitT()
 SIGMA = strict_type_of("(unit^1, unit) -> unit")
@@ -69,8 +78,7 @@ def test_success_clause():
 def test_translation_deterministic():
     src = parse_lc("def I = \\x. x1 [x1 <- x]\ndef T = I <I>")
     t = src.defs["T"][0]
-    p1 = translate_term(t, Translator(NameSupply(1)).supply.fresh("u"),
-                        translator=Translator(NameSupply(2)))
+    p1, _ = translate(t)
     # same seed twice gives alpha-identical output, as translated
     tr1, tr2 = Translator(NameSupply(5)), Translator(NameSupply(5))
     q1 = tr1.term(t, tr1.supply.fresh("u"))
@@ -176,3 +184,68 @@ def test_commitment_tree_shape_is_seed_independent(ex32):
         shapes.add((len(tree.nodes[tree.root].successors),
                     len(tree.at_depth(2))))
     assert shapes == {(6, 6)}
+
+
+# A term whose free variable has a name the translation also draws: the
+# translation of `u` once forwarded u to itself, and the cut of `a <v>`
+# once bound the bag's free v.
+CAPTURES = {
+    "T": "def T = u\nwf T [u: unit] : unit\n",
+    "A": "def A = a <v>\n"
+         "wf A [a: (unit ^ 1, unit) -> unit, v: unit] : unit\n",
+}
+
+
+def _binders(p):
+    _, binder, _ = BINDING[type(p)]
+    out = {getattr(p, binder)} if binder else set()
+    for q in _children(p):
+        out |= _binders(q)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURES))
+def test_translation_names_no_variable_of_the_term(name):
+    src = parse_lc(CAPTURES[name])
+    [(_, _, theta, gamma, tau)] = src.judgments
+    m = src.defs[name][0]
+    assert check_translation_preservation(theta, gamma, m, tau)
+    p, ctx = translate(m, (theta, gamma, tau))
+    assert _binders(p).isdisjoint(L.free_vars(m))
+    # u, and one entry per variable of the judgment
+    assert len(ctx) == len(theta) + len(gamma) + 1
+
+
+@pytest.mark.parametrize("name, process, context", [
+    ("T", "some u. [u<->u_2]", "u: maybe expect bot, u_2: maybe 1"),
+    ("A", "new v_1 (some a. [a<->v_1] | expect v_1 [u,v]. ",
+     "a: maybe expect (expect (expect (maybe 1 @ expect maybe (expect maybe"
+     " 1 * expect (maybe 1 @ expect maybe 1))) * !&{1: maybe 1} * 1) * "
+     "expect bot), v: maybe expect bot, u: maybe 1"),
+])
+def test_translate_prints_the_term_and_translation_names_apart(
+        capsys, tmp_path, name, process, context):
+    path = tmp_path / "capture.lc"
+    path.write_text(CAPTURES[name])
+    assert main(["translate", str(path), name, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["process"].startswith(process)
+    assert record["context"] == context
+
+
+@pytest.mark.parametrize("file", ["corr.lc", "ex32.lc"])
+def test_no_binder_of_a_translation_is_free_in_its_term(file):
+    for name, (m, *_) in load_lc(file).defs.items():
+        p, _ = translate(m)
+        assert not _binders(p) & L.free_vars(m), name
+
+
+def test_oversized_translation_raises_before_building():
+    """The benchmark family's 7-alias fetch would build 35,287 sum
+    branches."""
+    m = parse_lc(perfbench_workloads().lambda_script()).defs["A7_7"][0]
+    for build in (translate, _translate_fresh):
+        start = time.perf_counter()
+        with pytest.raises(TranslationTooLarge):
+            build(m)
+        assert time.perf_counter() - start < 1

@@ -17,34 +17,21 @@ import gc
 import pytest
 
 from eagerpi.eager import _local_steps
-from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.equivalence import explore
 from eagerpi.names import NameSupply
 from eagerpi.printer import process_text
 from eagerpi.process import (Close, Input, Process, Restrict, _children,
                              _walk, canonicalize, free_names,
                              scope_normalize, term_key)
-from tests.conftest import _fresh, load_lc, load_spi, perfbench_workloads
-
-CLOSED = ("T01", "T02", "T03", "T04", "T06", "T08", "T10", "T11", "T12",
-          "T15", "T16", "T17", "T18")
-OPEN = ("T05", "T07", "T09", "T13", "T14")
-
-
-def _corpus():
-    return [d[0] for f in ("movie.spi", "vm.spi", "generated.spi")
-            for d in load_spi(f).defs.values()]
-
-
-def _translations(file, names):
-    defs = load_lc(file).defs
-    return [_translate_fresh(defs[n][0]) for n in names]
+from tests.conftest import (CLOSED, OPEN, _fresh, perfbench_workloads,
+                            spi_corpus, translations)
 
 
 SOURCES = {
-    "spi-corpus": (_corpus, 64),
-    "corr-closed": (lambda: _translations("corr.lc", CLOSED), 30),
-    "corr-open": (lambda: _translations("corr.lc", OPEN), 8),
-    "ex32-M": (lambda: _translations("ex32.lc", ("M",)), 30),
+    "spi-corpus": (lambda: spi_corpus().values(), 64),
+    "corr-closed": (lambda: translations(CLOSED).values(), 30),
+    "corr-open": (lambda: translations(OPEN).values(), 8),
+    "ex32-M": (lambda: translations(("M",), "ex32.lc").values(), 30),
 }
 
 
@@ -124,7 +111,7 @@ def test_shared_subtrees_rekeyed_per_context(source):
 def test_shared_subtree_under_two_binder_levels():
     """One subtree object bound at level 0 in one process and at level 1
     in another keys as a fresh copy does in both."""
-    q = scope_normalize(_translations("corr.lc", ("T01",))[0])
+    q = scope_normalize(translations(("T01",))["T01"])
     y = min(free_names(q), key=lambda n: n.id)
     s = NameSupply(10 ** 9)
     a, z = s.fresh("a"), s.fresh("z")

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 
 from eagerpi import gen
 from eagerpi import lam as L
-from eagerpi.equivalence import _translate_fresh, explore
+from eagerpi.equivalence import explore
 from eagerpi.lam import Bag, LinSub, Term
 from eagerpi.names import Name, NameSupply
 from eagerpi.process import (BINDING, Client, Close, Input, Output, Par,
@@ -32,7 +32,7 @@ from eagerpi.process import (BINDING, Client, Close, Input, Output, Par,
                              _with_children, free_name_split, free_names,
                              freshen_binders, rename_free, substitute)
 from tests import reference_walks as ref
-from tests.conftest import load_lc, load_spi
+from tests.conftest import load_lc, spi_corpus, translations
 from tests.reference_canon import term_key  # the key of a raw process
 from tests.test_invariants import processes
 
@@ -132,14 +132,9 @@ def check_term(m):
         _exact(ref.freshen_term(m, NameSupply(1)))
 
 
-def _spi_corpus():
-    return [d[0] for f in ("movie.spi", "vm.spi", "generated.spi")
-            for d in load_spi(f).defs.values()]
-
-
 def _translated_states():
-    return [n.state for d in load_lc("corr.lc").defs.values()
-            for n in explore(_translate_fresh(d[0]), 4)[0].values()]
+    return [n.state for p in translations().values()
+            for n in explore(p, 4)[0].values()]
 
 
 def _shadowing():
@@ -157,7 +152,7 @@ def _shadowing():
 
 PROCESS_SOURCES = {
     "shadowing": _shadowing,
-    "spi-corpus": _spi_corpus,
+    "spi-corpus": lambda: list(spi_corpus().values()),
     "generated": lambda: gen.generate_corpus(11, 40),
     "corr-states": _translated_states,
 }
@@ -196,7 +191,7 @@ def test_substitute_shares_what_it_does_not_change():
     """Substituting for a name that is not free returns the process itself;
     otherwise every subprocess without the name is kept, not copied."""
     ghost = Name(0, "ghost")
-    procs = _spi_corpus() + gen.generate_corpus(11, 40)
+    procs = [*spi_corpus().values(), *gen.generate_corpus(11, 40)]
     for p in procs + _translated_states():
         assert substitute(p, ghost, Name(-1, "absent")) is p
         for _, old in _pairs(free_names(p)):
