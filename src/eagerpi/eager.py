@@ -26,6 +26,52 @@ steps up to congruence, which `step_all` would drop as duplicates; being
 congruent does not depend on the context, so the pruned list is right
 wherever the node is reused. The key that tells alike parts is threaded
 down from the state's, since a walked node's key mirrors it.
+
+Exhaustive `trace` follows one order of independent steps (an ample-set
+reduction: Peled, CAV 1993; Godefroid, LNCS 1032, 1996). A D-step of a
+state is a step with these properties:
+- its rule is close, comm, sel:<label>, some or none;
+- its cut `new x (L | R)` lies on the state's `|`/`new` spine, under no
+  sum, and both of its contexts are D-contexts (`contexts.is_dcontext`);
+- on each side of the cut, the redex's own thread is the only thread on
+  that side's spine with x free.
+A state with a D-step is expanded by its first one in `_search` order
+alone (`_dstep`), so the choice depends only on the state's form; a state
+with none is expanded by all its steps. This is sound for the queries
+`trace` serves, which read the normal forms and the bound that cut the
+search, and the argument is syntactic, so it holds for untyped input too:
+- Independence. Only the D-step's two threads hold x, both are spine
+  threads, and no step reduces under a prefix. Another step synchronizes
+  on another cut, so it cannot consume them; it discards only the sum
+  branches on its own contexts' paths, which hold neither of them nor the
+  cut; and the threads it adds (continuations, a server's replica, the
+  `none` failures of an expectation's dependencies) come from threads
+  without x free, so none competes for them. So the other step leaves the
+  D-step in place, and what is left of it is again a D-step (an `id` step
+  may rename its threads' other names). Taking the two in either order
+  reaches congruent states: a one-step diamond.
+- Normal forms. A normal form has no step, so a path to one takes what is
+  left of each D-step on it. Moving that step to the front through the
+  diamonds keeps the path's length, so, by induction on the length, every
+  normal form at depth d of the full graph is at depth d of the reduced
+  one, within the same bound. A state that is not normal may sit deeper:
+  two branches of a `++` can meet at one state after different numbers of
+  steps, and the reduced graph may hold only the longer one
+  (`tests/test_dstep.py` lists where that happens in the corpus).
+- Cycles. A D-step consumes two prefixes and copies nothing, so it
+  shrinks the process (counting its prefixes, an expectation once more
+  for each name it waits on). No cycle consists of D-steps alone, so
+  every cycle of the reduced graph passes a state expanded by all its
+  steps (the cycle proviso), and no step is put off for ever.
+- Rules left out. `repl` copies a server and need not shrink the process.
+  An `id` step's forwarder holds both of its names while the guard looks
+  at the cut's name only, so a cut on the other name can take the same
+  forwarder. Without the guard, `id` steps were the only D-steps that
+  closed no one-step diamond with another step on the corr.lc
+  translations: 24 pairs in T09, each against a `some` step.
+Random and interactive traces, `step_all` and the graphs of
+`equivalence` (bisimilarity and the correspondence checks) take every
+step.
 """
 
 from __future__ import annotations
@@ -35,13 +81,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import graph, process
-from .contexts import Hole, commit, decompositions, plug
+from .contexts import Hole, commit, decompositions, is_dcontext, plug
 from .names import Name
 from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
                       Select, Server, SomeAvail, Wait, alike, branch_map,
-                      canonicalize, exploration, freshen_binders, keyed_parts,
-                      par_all, scope_normalize, substitute, sum_all, term_key)
+                      canonicalize, exploration, free_names, freshen_binders,
+                      keyed_parts, par_all, scope_normalize, substitute,
+                      sum_all, term_key)
 
 
 @dataclass(eq=False)
@@ -169,13 +216,77 @@ def step_all(p: Process) -> list:
     return list(seen.values())
 
 
+def _dstep(p: Process, key):
+    """The first D-step of p in `_search` order, with its raw target, or
+    None (see `trace`). It walks only p's `|`/`new` spine: a step inside
+    a sum is no D-step."""
+    match p:
+        case Par(_, _):
+            parts, keys = keyed_parts(p, key)
+            for i, c in enumerate(parts):
+                if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
+                    continue
+                found = _dstep(c, keys[i])
+                if found is not None:
+                    rdx, tgt = found
+                    return rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])
+        case Restrict(x, l, r):
+            _, (kl, kr) = keyed_parts(p, key)
+            found = _dstep(l, kl)
+            if found is not None:
+                return found[0], Restrict(x, found[1], r)
+            found = _dstep(r, kr)
+            if found is not None:
+                return found[0], Restrict(x, l, found[1])
+            return _dcut(x, l, r, kl, kr)
+    return None
+
+
+def _one_holder(p: Process, x: Name) -> bool:
+    """Whether exactly one thread on p's `|`/`new` spine has x free."""
+    while isinstance(p, (Par, Restrict)):
+        left, right = x in free_names(p.left), x in free_names(p.right)
+        if left == right:
+            return False
+        p = p.left if left else p.right
+    return x in free_names(p)
+
+
+def _dcut(x: Name, left: Process, right: Process, kl, kr):
+    """The D-step of the cut `new x (left | right)`, or None. Where each
+    side has one thread with x free, it is the cut's first step in
+    `_cut_steps` order, since each side has one redex position."""
+    if not (_one_holder(left, x) and _one_holder(right, x)):
+        return None
+    dl, dr = decompositions(left, x, kl), decompositions(right, x, kr)
+    if len(dl) != 1 or len(dr) != 1:
+        return None
+    (n, a), (m, b) = dl[0], dr[0]
+    if not (is_dcontext(n) and is_dcontext(m)):
+        return None
+    pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
+    if pair is None or pair[0].rule == "repl":
+        return None
+    return pair
+
+
+def _reduced_steps(q: Process) -> list:
+    """The steps of `trace`'s exhaustive search from the scope-normal
+    state q: its D-step alone if it has one, else all of its steps."""
+    found = _dstep(q, q._key)
+    if found is None:
+        return [(_label(st.redex), st.target) for st in step_all(q)]
+    rdx, tgt = found
+    return [(_label(rdx), scope_normalize(tgt))]
+
+
 def normal_forms(p: Process, bound: int = 64, max_states: int = 20000):
     """All canonical normal forms reachable from p within `bound` steps."""
     return [n.state for n in trace(p, bound, max_states=max_states).leaves()]
 
 
-def _label(st: ReductionStep) -> str:
-    return f"{st.redex.rule}@{st.redex.cut.display}"
+def _label(rdx: Redex) -> str:
+    return f"{rdx.rule}@{rdx.cut.display}"
 
 
 @exploration()
@@ -184,16 +295,18 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
           chooser: Optional[Callable] = None) -> graph.Graph:
     """The reduction graph of p to depth `bound`, nodes keyed by
     `term_key` and edges labelled `rule@cut`. Strategies: exhaustive (the
-    graph of `graph.explore`, so a node's depth is its least distance from
-    the root), random (seeded single path), interactive (chooser picks a
-    step index, 0 to len(steps) - 1, at each node). A path's nodes are
-    expanded where it went on, and keep their first depth when it passes
-    again; its last node is unexpanded when it stops at the bound."""
+    graph of `graph.explore` in one order of independent steps: a state
+    with a D-step is expanded by that step alone, see the module
+    docstring; it has every normal form of the full graph within the
+    bound, at its depth), random (seeded single path), interactive
+    (chooser picks a step index, 0 to len(steps) - 1, at each node). A
+    path's nodes are expanded where it went on, and keep their first depth
+    when it passes again; its last node is unexpanded when it stops at the
+    bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
-        return graph.explore(
-            cp, lambda q: [(_label(st), st.target) for st in step_all(q)],
-            term_key, bound, max_states)
+        return graph.explore(cp, _reduced_steps, term_key, bound,
+                             max_states)
     root = term_key(cp)
     node = graph.Node(root, cp, 0)
     nodes = {root: node}
@@ -209,7 +322,7 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
             st = steps[chooser(node.state, steps)]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        k, label = term_key(st.target), _label(st)
+        k, label = term_key(st.target), _label(st.redex)
         if k not in nodes:
             nodes[k] = graph.Node(k, st.target, node.depth + 1,
                                   parent=(node.key, label))

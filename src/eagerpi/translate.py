@@ -12,10 +12,7 @@ injective assignments of items to variables (the displayed two-item case,
 generalized by nesting one restriction per item), and a non-empty sharing
 offers a sum over which alias receives the next item.
 
-Intersection types translate to session types; the multiset translation is
-indexed by a padding count i that absorbs the arity gap well-formed terms
-may exhibit between a bag and the variables it feeds (i = 0 when usage is
-exact, which is the default everywhere).
+Intersection types translate to session types.
 """
 
 from __future__ import annotations
@@ -220,36 +217,27 @@ class Translator:
 # ---------------------------------------------------------------------------
 # Type translation
 
-def translate_strict(t, pad: int = 0) -> SessionType:
+def translate_strict(t) -> SessionType:
     match t:
         case UnitT():
             return Maybe(One())
         case ArrowT(mult, lst, target):
-            inner = translate_tuple(mult, lst, pad)
+            inner = translate_tuple(mult, lst)
             return Maybe(Parr(dual(inner), translate_strict(target)))
     raise TypeError(f"not a strict type: {t!r}")
 
 
-def translate_tuple(mult: Mult, lst, pad: int = 0) -> SessionType:
-    return ExpectT(Tensor(translate_multiset(mult, pad),
+def translate_tuple(mult: Mult, lst) -> SessionType:
+    return ExpectT(Tensor(translate_multiset(mult),
                           Tensor(translate_list(lst), One())))
 
 
-def translate_multiset(mult: Mult, pad: int = 0) -> SessionType:
+def translate_multiset(mult: Mult) -> SessionType:
     if mult.count > 0:
-        rest = translate_multiset(Mult(mult.base, mult.count - 1), pad)
+        rest = translate_multiset(Mult(mult.base, mult.count - 1))
         step = Tensor(ExpectT(translate_strict(mult.base)), rest)
         return ExpectT(Parr(Maybe(One()), ExpectT(Maybe(step))))
-    return _omega(mult.base, pad)
-
-
-def _omega(base, pad: int) -> SessionType:
-    if pad == 0:
-        return ExpectT(Parr(Maybe(One()), ExpectT(Maybe(One()))))
-    if base is None:
-        raise ValueError("padded empty multiset needs an element type")
-    step = Tensor(ExpectT(translate_strict(base)), _omega(base, pad - 1))
-    return ExpectT(Parr(Maybe(One()), ExpectT(Maybe(step))))
+    return ExpectT(Parr(Maybe(One()), ExpectT(Maybe(One()))))
 
 
 def translate_list(lst) -> SessionType:
@@ -259,17 +247,16 @@ def translate_list(lst) -> SessionType:
                            for i, t in enumerate(lst))))
 
 
-def translate_contexts(gamma: dict, theta: dict, translator: Translator,
-                       pads: dict = None) -> dict:
+def translate_contexts(gamma: dict, theta: dict,
+                       translator: Translator) -> dict:
     """Session typing context for a translated judgment: strict entries
     become may-produce duals, multiset entries the dual of the multiset
     translation, unrestricted entries the dual of the list translation on
     the persistent channel."""
-    pads = pads or {}
     ctx = {}
     for v, e in gamma.items():
         if isinstance(e, Mult):
-            ctx[translator.lin(v)] = dual(translate_multiset(e, pads.get(v, 0)))
+            ctx[translator.lin(v)] = dual(translate_multiset(e))
         else:
             ctx[translator.lin(v)] = Maybe(dual(translate_strict(e)))
     for v, eta in theta.items():
@@ -277,7 +264,7 @@ def translate_contexts(gamma: dict, theta: dict, translator: Translator,
     return ctx
 
 
-def translate(m, judgment=None, pads: dict = None):
+def translate(m, judgment=None):
     """The translation of m on a fresh name u and, given a judgment
     (theta, gamma, tau), its context with u at the translation of tau
     (else None); over `MAX_BRANCHES` it raises before building anything.
@@ -295,16 +282,15 @@ def translate(m, judgment=None, pads: dict = None):
     p = tr.term(m, u)
     if judgment is None:
         return p, None
-    ctx = translate_contexts(gamma, theta, tr, pads)
+    ctx = translate_contexts(gamma, theta, tr)
     ctx[u] = translate_strict(tau)
     return p, ctx
 
 
-def check_translation_preservation(theta: dict, gamma: dict, m, tau,
-                                   pads: dict = None):
+def check_translation_preservation(theta: dict, gamma: dict, m, tau):
     """Translate a well-formed judgment and run the session checker on the
     translated process against the translated contexts."""
     from .typecheck import typecheck
     check_wf(theta, gamma, m, tau)
-    typecheck(*translate(m, (theta, gamma, tau), pads))
+    typecheck(*translate(m, (theta, gamma, tau)))
     return True

@@ -6,10 +6,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from eagerpi import eager, graph
 from eagerpi.equivalence import _translate_fresh
 from eagerpi.parser import parse_lc, parse_spi
 from eagerpi.printer import process_text
-from eagerpi.process import Process, term_key
+from eagerpi.process import Process, exploration, scope_normalize, term_key
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, "..", "corpus")
@@ -50,6 +51,19 @@ def translations(names=None, file="corr.lc"):
     of an .lc corpus file, or for all of them."""
     defs = load_lc(file).defs
     return {n: _translate_fresh(defs[n][0]) for n in names or defs}
+
+
+def full_trace(p, bound, max_states=20000):
+    """The full reduction graph of p: `graph.explore` over every step of
+    `eager.step_all`, with `trace`'s `rule@cut` labels. Exhaustive
+    `trace` takes one D-step where a state has one; the tests that need
+    every interleaving read this graph."""
+    def steps(q):
+        return [(f"{st.redex.rule}@{st.redex.cut.display}", st.target)
+                for st in eager.step_all(q)]
+    with exploration():
+        return graph.explore(scope_normalize(p), steps, term_key, bound,
+                             max_states)
 
 
 def _fresh(x):

@@ -12,6 +12,7 @@ from eagerpi.process import (Branch, Close, Inaction, NDChoice, Par, Process,
                              canonicalize, freshen_binders, scope_rewrites,
                              struct_congruent, sum_parts, term_key)
 from tests import reference_canon as ref
+from tests.conftest import full_trace
 
 s = NameSupply(1)
 x, y = s.fresh("x"), s.fresh("y")
@@ -225,7 +226,7 @@ def test_exhaustive_trace_depths_are_minimal(generated):
     # depths one too high
     from eagerpi.equivalence import explore
     p = generated.defs["G098"][0]
-    tr = trace(p, 6)
+    tr = full_trace(p, 6)
     nodes, root, truncated = explore(p, 6)
     assert len(tr.nodes) == len(nodes) == 21
     assert not tr.truncated and not truncated

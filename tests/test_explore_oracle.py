@@ -2,8 +2,9 @@
 five loops it replaced (`reference_explore.py`).
 
 On every corpus process and every `corr.lc` translation, at bounds 0 to
-30, `explore` and exhaustive `trace` must discover the same states in the
-same order, at the same depths, with the same edges, and `succeeds_pi`
+30, `explore` and the full labelled explorer (`conftest.full_trace`, the
+graph exhaustive `trace` returned before it took one D-step per state)
+must discover the same states in the same order, at the same depths, with the same edges, and `succeeds_pi`
 must give the same verdict; on the `corr.lc` and `ex32.lc` terms and the
 benchmark's lambda family, `lam.reachable` and `lam.succeeds` must return
 the same results. The one difference allowed is the truncation rule: a
@@ -20,12 +21,11 @@ import pytest
 
 from eagerpi import eager, equivalence
 from eagerpi import lam as L
-from eagerpi.eager import trace
 from eagerpi.equivalence import explore, succeeds_pi
 from eagerpi.parser import parse_lc
 from eagerpi.process import term_key
 from tests import reference_explore as ref
-from tests.conftest import load_lc, spi_corpus, translations
+from tests.conftest import full_trace, load_lc, spi_corpus, translations
 
 PI_BOUNDS = (0, 1, 2, 3, 4, 6, 10, 30)
 LAMBDA_BOUNDS = (0, 1, 2, 3, 5, 16, 64)
@@ -98,11 +98,11 @@ def _compare_explore(p, bound, cap=6000):
 
 
 def _compare_trace(p, bound, nodes, cap=20000):
-    """Compare old and new exhaustive `trace` (node ids, processes,
-    depths, edges, flags), and the new one with the new `explore` graph
-    `nodes`; True iff only the old one was truncated."""
+    """Compare the old exhaustive `trace` with `full_trace` (node ids,
+    processes, depths, edges, flags), and that with the new `explore`
+    graph `nodes`; True iff only the old one was truncated."""
     old = ref.trace(p, bound, max_states=cap)
-    new = trace(p, bound, max_states=cap)
+    new = full_trace(p, bound, max_states=cap)
     # the reference numbers its nodes in discovery order
     ids = {k: i for i, k in enumerate(new.nodes)}
     assert list(old.nodes) == list(ids.values())

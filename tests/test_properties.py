@@ -5,11 +5,12 @@ the resource calculus."""
 import itertools
 
 from eagerpi import lam as L
-from eagerpi.eager import step_all, trace
+from eagerpi.eager import step_all
 from eagerpi.equivalence import explore
 from eagerpi.lamtypes import check_wf, check_wt
 from eagerpi.process import canonicalize, free_names, is_inert, scope_rewrites
 from eagerpi.typecheck import typecheck
+from tests.conftest import full_trace
 
 
 def closed_corpus(generated, movie, vm):
@@ -62,7 +63,7 @@ def test_type_preservation_along_traces(generated):
     failures = []
     for name in generated.order[:25]:
         p = generated.defs[name][0]
-        tr = trace(p, 12)
+        tr = full_trace(p, 12)
         for node in tr.nodes.values():
             try:
                 typecheck(node.process, {})
@@ -82,7 +83,7 @@ def test_progress_on_corpus(generated, movie, vm):
 def test_progress_along_traces(generated):
     stuck = []
     for name in generated.order[:25]:
-        tr = trace(generated.defs[name][0], 12)
+        tr = full_trace(generated.defs[name][0], 12)
         for node in tr.nodes.values():
             if node.expanded and not node.successors \
                     and not is_inert(node.process):

@@ -91,12 +91,12 @@ def test_strict_unit_translation():
 
 
 def test_omega_translation_at_zero():
-    got = translate_multiset(OMEGA, 0)
+    got = translate_multiset(OMEGA)
     assert got == ExpectT(Parr(Maybe(One()), ExpectT(Maybe(One()))))
 
 
 def test_single_multiset_translation_unfolds_once():
-    got = translate_multiset(Mult(U, 1), 0)
+    got = translate_multiset(Mult(U, 1))
     omega = ExpectT(Parr(Maybe(One()), ExpectT(Maybe(One()))))
     want = ExpectT(Parr(Maybe(One()),
                         ExpectT(Maybe(Tensor(ExpectT(Maybe(One())), omega)))))
@@ -111,7 +111,7 @@ def test_list_translation_is_indexed_server():
 def test_arrow_translation_shape():
     got = translate_strict(SIGMA)
     assert isinstance(got, Maybe) and isinstance(got.body, Parr)
-    assert got.body.first == dual(translate_tuple(Mult(U, 1), (U,), 0))
+    assert got.body.first == dual(translate_tuple(Mult(U, 1), (U,)))
     assert got.body.rest == Maybe(One())
 
 
