@@ -6,11 +6,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from eagerpi import eager, graph
-from eagerpi.equivalence import _translate_fresh
+from eagerpi import eager
+from eagerpi.equivalence import _graph, _translate_fresh
 from eagerpi.parser import parse_lc, parse_spi
 from eagerpi.printer import process_text
-from eagerpi.process import Process, exploration, scope_normalize, term_key
+from eagerpi.process import Process, term_key
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, "..", "corpus")
@@ -59,11 +59,9 @@ def full_trace(p, bound, max_states=20000):
     `trace` takes one D-step where a state has one; the tests that need
     every interleaving read this graph."""
     def steps(q):
-        return [(f"{st.redex.rule}@{st.redex.cut.display}", st.target)
+        return [(eager._label(st.redex), st.target)
                 for st in eager.step_all(q)]
-    with exploration():
-        return graph.explore(scope_normalize(p), steps, term_key, bound,
-                             max_states)
+    return _graph(p, bound, max_states, step=steps)
 
 
 def _fresh(x):

@@ -2,10 +2,11 @@
 five loops it replaced (`reference_explore.py`).
 
 On every corpus process and every `corr.lc` translation, at bounds 0 to
-30, `explore` and the full labelled explorer (`conftest.full_trace`, the
-graph exhaustive `trace` returned before it took one D-step per state)
-must discover the same states in the same order, at the same depths, with the same edges, and `succeeds_pi`
-must give the same verdict; on the `corr.lc` and `ex32.lc` terms and the
+30, `explore` and the full labelled explorer (`conftest.full_trace`,
+which takes every step of every state, as the old exhaustive `trace`
+did) must discover the same states in the same order, at the same
+depths, with the same edges, and `succeeds_pi` must give the same
+verdict; on the `corr.lc` and `ex32.lc` terms and the
 benchmark's lambda family, `lam.reachable` and `lam.succeeds` must return
 the same results. The one difference allowed is the truncation rule: a
 node at the depth bound whose steps all reach states already in the graph
