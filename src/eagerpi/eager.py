@@ -30,26 +30,53 @@ down from the state's, since a walked node's key mirrors it.
 Exhaustive `trace` follows one order of independent steps (an ample-set
 reduction: Peled, CAV 1993; Godefroid, LNCS 1032, 1996). A D-step of a
 state is a step with these properties:
-- its rule is close, comm, sel:<label>, some or none;
 - its cut `new x (L | R)` lies on the state's `|`/`new` spine, under no
   sum, and both of its contexts are D-contexts (`contexts.is_dcontext`);
 - on each side of the cut, the redex's own thread is the only thread on
-  that side's spine with x free.
+  that side's spine with x free;
+- its rule is close, comm, sel:<label>, some or none; or repl, where x is
+  free neither in the client's continuation nor in the server's body; or
+  id, where the state's forwarders are linear: no forwarder has a name
+  free in a part beside it (`_linear_forwarders`).
 A state with a D-step is expanded by its first one in `_search` order
-alone (`_dstep`), so the choice depends only on the state's form; a state
-with none is expanded by all its steps. This is sound for the queries
-`trace` serves, which read the normal forms and the bound that cut the
-search, and the argument is syntactic, so it holds for untyped input too:
+alone (`_first_dstep`), so the choice depends only on the state's form; a
+state with none is expanded by all its steps. This is sound for the
+queries `trace` serves, which read the normal forms and the bound that
+cut the search, and the argument is syntactic, so it holds for untyped
+input too:
 - Independence. Only the D-step's two threads hold x, both are spine
   threads, and no step reduces under a prefix. Another step synchronizes
-  on another cut, so it cannot consume them; it discards only the sum
-  branches on its own contexts' paths, which hold neither of them nor the
-  cut; and the threads it adds (continuations, a server's replica, the
-  `none` failures of an expectation's dependencies) come from threads
-  without x free, so none competes for them. So the other step leaves the
-  D-step in place, and what is left of it is again a D-step (an `id` step
-  may rename its threads' other names). Taking the two in either order
-  reaches congruent states: a one-step diamond.
+  on another cut, so it cannot consume a prefix of theirs; it discards
+  only the sum branches on its own contexts' paths, which hold neither of
+  them nor the cut; and the threads it adds (continuations, a server's
+  replica, the `none` failures of an expectation's dependencies) come
+  from threads without x free, so none competes for them. So the other
+  step leaves the D-step in place, and what is left of it is again a
+  D-step (for id, see Forwarders). Taking the two in either order reaches
+  congruent states: a one-step diamond. A repl D-step leaves its server
+  with no client and copies no x, so scope normalization collects the
+  server; a client that requests x again, or a server body that holds x,
+  would keep it.
+- Forwarders. An id D-step dissolves the cut and puts the partner side,
+  renamed to the forwarder's other name y, where the forwarder was. Only
+  id steps take a forwarder, each on one of its names. Where the partner
+  is a forwarder too, its own id step fuses the same two forwarders. The
+  id step of a cut on y reaches the D-step's target up to alpha: by
+  linearity the forwarder is the only part with y free on its side of
+  that cut, so dissolving the cut on y and renaming its other side to x
+  gives that target with x for y. Any other step leaves the forwarder in
+  a D-context on the spine, at most renaming y or changing the partner
+  side, and these diamonds need no more than that, so they hold for what
+  is left of the D-step along any path. Reduction keeps forwarders
+  linear: a step removes parts, puts a continuation, a replica or a
+  failure where a part holding its names was, moves a payload to the
+  receiver's side of its cut, or renames a partner side to its
+  forwarder's other name, and none of these puts a part that holds a
+  name beside a forwarder that holds it. Typed processes are linear in
+  this sense (a forwarder's names are linear). Where a state is not, a
+  forwarder may share its cut's name with another part on its side; its
+  id step then frees that name, and the order of the steps can decide
+  the normal form, so there no id step is a D-step.
 - Normal forms. A normal form has no step, so a path to one takes what is
   left of each D-step on it. Moving that step to the front through the
   diamonds keeps the path's length, so, by induction on the length, every
@@ -58,17 +85,12 @@ search, and the argument is syntactic, so it holds for untyped input too:
   two branches of a `++` can meet at one state after different numbers of
   steps, and the reduced graph may hold only the longer one
   (`tests/test_dstep.py` lists where that happens in the corpus).
-- Cycles. A D-step consumes two prefixes and copies nothing, so it
-  shrinks the process (counting its prefixes, an expectation once more
-  for each name it waits on). No cycle consists of D-steps alone, so
-  every cycle of the reduced graph passes a state expanded by all its
-  steps (the cycle proviso), and no step is put off for ever.
-- Rules left out. `repl` copies a server and need not shrink the process.
-  An `id` step's forwarder holds both of its names while the guard looks
-  at the cut's name only, so a cut on the other name can take the same
-  forwarder. Without the guard, `id` steps were the only D-steps that
-  closed no one-step diamond with another step on the corr.lc
-  translations: 24 pairs in T09, each against a `some` step.
+- Cycles. A D-step consumes two prefixes, or a forwarder and its cut, and
+  nothing it copies survives, so it shrinks the process (counting its
+  prefixes and forwarders, an expectation once more for each name it
+  waits on). No cycle consists of D-steps alone, so every cycle of the
+  reduced graph passes a state expanded by all its steps (the cycle
+  proviso), and no step is put off for ever.
 Random and interactive traces, `step_all` and the graphs of
 `equivalence` (bisimilarity and the correspondence checks) take every
 step.
@@ -113,16 +135,22 @@ def _cut_steps(x: Name, left: Process, right: Process, kl, kr):
     dr = decompositions(right, x, kr)
     for here, there, dh, dt in ((left, right, dl, dr), (right, left, dr, dl)):
         for n, a in dh:
-            # [Id]: the forwarder dissolves the cut and renames the partner
-            if isinstance(a, Forward) and x in (a.x, a.y) and a.x != a.y:
-                other = a.y if a.x == x else a.x
-                tgt = plug(commit(n), substitute(there, other, x))
-                steps.append((Redex("id", x, (n, a), (Hole(), there)), tgt))
+            if isinstance(a, Forward) and a.x != a.y:
+                steps.append(_forward(x, n, a, there))
             for m, b in dt:
                 pair = _axiom(x, n, a, m, b)
                 if pair is not None:
                     steps.append(pair)
     return steps
+
+
+def _forward(x, n, a, there):
+    """[Id]: the forwarder `a` on x, under context n, dissolves the cut on
+    x; the partner side `there`, renamed to the forwarder's other name,
+    takes its place."""
+    other = a.y if a.x == x else a.x
+    tgt = plug(commit(n), substitute(there, other, x))
+    return Redex("id", x, (n, a), (Hole(), there)), tgt
 
 
 def _axiom(x, n, a, m, b):
@@ -216,29 +244,29 @@ def step_all(p: Process) -> list:
     return list(seen.values())
 
 
-def _dstep(p: Process, key):
+def _dstep(p: Process, key, ids: bool):
     """The first D-step of p in `_search` order, with its raw target, or
-    None (see `trace`). It walks only p's `|`/`new` spine: a step inside
-    a sum is no D-step."""
+    None (see `trace`); `id` steps only if `ids`. It walks only p's
+    `|`/`new` spine: a step inside a sum is no D-step."""
     match p:
         case Par(_, _):
             parts, keys = keyed_parts(p, key)
             for i, c in enumerate(parts):
                 if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
                     continue
-                found = _dstep(c, keys[i])
+                found = _dstep(c, keys[i], ids)
                 if found is not None:
                     rdx, tgt = found
                     return rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])
         case Restrict(x, l, r):
             _, (kl, kr) = keyed_parts(p, key)
-            found = _dstep(l, kl)
+            found = _dstep(l, kl, ids)
             if found is not None:
                 return found[0], Restrict(x, found[1], r)
-            found = _dstep(r, kr)
+            found = _dstep(r, kr, ids)
             if found is not None:
                 return found[0], Restrict(x, l, found[1])
-            return _dcut(x, l, r, kl, kr)
+            return _dcut(x, l, r, kl, kr, ids)
     return None
 
 
@@ -252,7 +280,7 @@ def _one_holder(p: Process, x: Name) -> bool:
     return x in free_names(p)
 
 
-def _dcut(x: Name, left: Process, right: Process, kl, kr):
+def _dcut(x: Name, left: Process, right: Process, kl, kr, ids: bool):
     """The D-step of the cut `new x (left | right)`, or None. Where each
     side has one thread with x free, it is the cut's first step in
     `_cut_steps` order, since each side has one redex position."""
@@ -264,16 +292,63 @@ def _dcut(x: Name, left: Process, right: Process, kl, kr):
     (n, a), (m, b) = dl[0], dr[0]
     if not (is_dcontext(n) and is_dcontext(m)):
         return None
+    if isinstance(a, Forward) or isinstance(b, Forward):
+        if not ids:
+            return None
+        return _forward(x, n, a, right) if isinstance(a, Forward) \
+            else _forward(x, m, b, left)
     pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
-    if pair is None or pair[0].rule == "repl":
-        return None
+    if pair is not None and pair[0].rule == "repl":
+        (_, client), (_, server) = pair[0].left, pair[0].right
+        if x in free_names(client.cont) or x in free_names(server.cont):
+            return None
     return pair
+
+
+def _linear_forwarders(p: Process, beside: frozenset = frozenset()) -> bool:
+    """Whether no forwarder in p has a name free in a part beside it.
+    Beside a part are its other parallel parts, the other side of a
+    restriction (but for the restricted name), an output's payload and
+    its continuation to each other, and every replica of a server body
+    to the body (but for the body's parameter). `beside` holds the free
+    names of the parts beside p on its way down from the state."""
+    match p:
+        case Forward(x, y):
+            return x != y and x not in beside and y not in beside
+        case Par(l, r) | Output(_, _, l, r):
+            return (_linear_forwarders(l, beside | free_names(r))
+                    and _linear_forwarders(r, beside | free_names(l)))
+        case Restrict(x, l, r):
+            return (_linear_forwarders(l, beside | (free_names(r) - {x}))
+                    and _linear_forwarders(r, beside | (free_names(l) - {x})))
+        case Server(_, z, q):
+            return _linear_forwarders(q, beside | (free_names(q) - {z}))
+        case NDChoice(l, r):
+            return (_linear_forwarders(l, beside)
+                    and _linear_forwarders(r, beside))
+        case Branch(_, branches):
+            return all(_linear_forwarders(q, beside) for _, q in branches)
+        case Input(_, _, c) | Client(_, _, c) | Select(_, _, c) \
+                | Wait(_, c) | SomeAvail(_, c) | Expect(_, _, c):
+            return _linear_forwarders(c, beside)
+    return True
+
+
+def _first_dstep(q: Process):
+    """The D-step that `trace` takes from the scope-normal state q, with
+    its raw target, or None: the first in `_search` order, where an `id`
+    step counts only if q's forwarders are linear."""
+    found = _dstep(q, q._key, True)
+    if found is not None and found[0].rule == "id" \
+            and not _linear_forwarders(q):
+        found = _dstep(q, q._key, False)
+    return found
 
 
 def _reduced_steps(q: Process) -> list:
     """The steps of `trace`'s exhaustive search from the scope-normal
     state q: its D-step alone if it has one, else all of its steps."""
-    found = _dstep(q, q._key)
+    found = _first_dstep(q)
     if found is None:
         return [(_label(st.redex), st.target) for st in step_all(q)]
     rdx, tgt = found

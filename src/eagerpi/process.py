@@ -842,9 +842,14 @@ def _cluster(p: Process, env: dict, depth: int):
         goes to a free holder u of its image, and each unmapped binder of
         t to a free binder of u, where they key alike with the binders
         mapped so far at levels of their own (`anon`), the others open
-        ones at one level and the one matched at another. Each pair of
-        threads must then key alike, on the same sides up to each binder's
-        exchange. A permutation this misses has its binders tried each."""
+        ones at one level and the one matched at another; that fails
+        where t's unmapped binders share out their positions otherwise
+        than u's. Each binder must sit on the same sides of both threads
+        up to its exchange. A matched pair of threads then keys alike
+        with all its binders mapped, with no check left to make: it keyed
+        alike with the unmapped binders at one level, and each binder
+        matched since holds the same positions in both. A permutation
+        this misses has its binders tried each."""
         sigma, flip, image, todo = {i: j}, {}, {}, [i]
         taken, used = 0, 1 << j
 
@@ -885,8 +890,6 @@ def _cluster(p: Process, env: dict, depth: int):
                     f = side(k, t) ^ side(sigma[k], u)
                     if flip.setdefault(k, f) != f:
                         return False
-                if lab(t, False) != lab(u, True):
-                    return False
         return True
 
     def forest(items, env: dict, depth: int, olds):

@@ -1,11 +1,12 @@
-"""The one-step reducts of every corpus process and term, as the CLI prints
-them.
+"""The one-step reducts and the normal forms of every corpus process and
+term, as the CLI prints them.
 
 Prints `eagerpi step FILE NAME --all --json` for every definition of
 `corpus/movie.spi`, `vm.spi`, `generated.spi`, `corr.lc` and `ex32.lc`,
-each definition's lines after a header line naming it. The order of the
-steps is CLI output, so two runs under different hash seeds must print the
-same text:
+and `eagerpi run FILE NAME --json` for every definition of the `.spi`
+files, each command's lines after a header line naming it. The order of
+the steps and of the normal forms is CLI output, so two runs under
+different hash seeds must print the same text:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/step_lists.py > a.txt
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/step_lists.py > b.txt
@@ -28,10 +29,14 @@ def main():
     for file in FILES:
         load = load_lc if file.endswith(".lc") else load_spi
         for name in load(file).defs:
-            print(f"-- {file} {name}", flush=True)
-            code = cli(["step", corpus_path(file), name, "--all", "--json"])
-            if code:
-                return code
+            commands = [["step", corpus_path(file), name, "--all", "--json"]]
+            if file.endswith(".spi"):
+                commands.append(["run", corpus_path(file), name, "--json"])
+            for args in commands:
+                print(f"-- {file} {name} {args[0]}", flush=True)
+                code = cli(args)
+                if code:
+                    return code
     return 0
 
 

@@ -209,7 +209,32 @@ def sides(rng):
     return p
 
 
-@pytest.mark.parametrize("build", [cycles, sides])
+def orders(rng):
+    """Three binders closed by one thread, each also held by a thread
+    that waits on it and then on two binders of its own: two of those
+    threads in the order k, k, m, the third in the order k, m, k. With
+    the inner binders at one level the three threads key alike, so the
+    three binders tie on bound and rank, and `twins` maps one thread onto
+    another; but for the odd one no inner binder waits where the other
+    thread's first one does. Threads and binders in seeded order."""
+    s = NameSupply(1)
+    tied = [s.fresh(f"a{i}") for i in range(3)]
+    odd = rng.randrange(3)
+    threads = [sum_all(map(Close, tied))]
+    binders = list(tied)
+    for i, a in enumerate(tied):
+        k, m = s.fresh(f"k{i}"), s.fresh(f"m{i}")
+        binders += [k, m]
+        threads.append(Wait(a, Wait(k, Wait(m, Close(k)) if i == odd
+                                    else Wait(k, Close(m)))))
+    rng.shuffle(threads)
+    p = par_all(threads)
+    for x in rng.sample(binders, len(binders)):
+        p = Restrict(x, p, Inaction())
+    return p
+
+
+@pytest.mark.parametrize("build", [cycles, sides, orders])
 def test_tied_binders_of_two_orbits_key_alike_in_any_order(build):
     """Of three or more tied binders, `twins` finds that some are not one
     orbit, and each of those is tried."""
