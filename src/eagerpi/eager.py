@@ -38,9 +38,11 @@ state is a step with these properties:
   free neither in the client's continuation nor in the server's body; or
   id, where the state's forwarders are linear: no forwarder has a name
   free in a part beside it (`_linear_forwarders`).
-A state with a D-step is expanded by its first one in `_search` order
-alone (`_first_dstep`), so the choice depends only on the state's form; a
-state with none is expanded by all its steps. This is sound for the
+A state is expanded by its first D-step in `_search` order alone
+(`_first_dstep`), so the choice depends only on the state's form. It is
+expanded by all its steps where it has no D-step, and where its
+forwarders are not linear (untyped input only) and the first step that
+meets the other conditions is an id step. This is sound for the
 queries `trace` serves, which read the normal forms and the bound that
 cut the search, and the argument is syntactic, so it holds for untyped
 input too:
@@ -244,29 +246,30 @@ def step_all(p: Process) -> list:
     return list(seen.values())
 
 
-def _dstep(p: Process, key, ids: bool):
+def _dstep(p: Process, key):
     """The first D-step of p in `_search` order, with its raw target, or
-    None (see `trace`); `id` steps only if `ids`. It walks only p's
-    `|`/`new` spine: a step inside a sum is no D-step."""
+    None (see `trace`), but for the linearity of forwarders that an `id`
+    step needs (`_first_dstep`). It walks only p's `|`/`new` spine: a
+    step inside a sum is no D-step."""
     match p:
         case Par(_, _):
             parts, keys = keyed_parts(p, key)
             for i, c in enumerate(parts):
                 if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
                     continue
-                found = _dstep(c, keys[i], ids)
+                found = _dstep(c, keys[i])
                 if found is not None:
                     rdx, tgt = found
                     return rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])
         case Restrict(x, l, r):
             _, (kl, kr) = keyed_parts(p, key)
-            found = _dstep(l, kl, ids)
+            found = _dstep(l, kl)
             if found is not None:
                 return found[0], Restrict(x, found[1], r)
-            found = _dstep(r, kr, ids)
+            found = _dstep(r, kr)
             if found is not None:
                 return found[0], Restrict(x, l, found[1])
-            return _dcut(x, l, r, kl, kr, ids)
+            return _dcut(x, l, r, kl, kr)
     return None
 
 
@@ -280,7 +283,7 @@ def _one_holder(p: Process, x: Name) -> bool:
     return x in free_names(p)
 
 
-def _dcut(x: Name, left: Process, right: Process, kl, kr, ids: bool):
+def _dcut(x: Name, left: Process, right: Process, kl, kr):
     """The D-step of the cut `new x (left | right)`, or None. Where each
     side has one thread with x free, it is the cut's first step in
     `_cut_steps` order, since each side has one redex position."""
@@ -293,8 +296,6 @@ def _dcut(x: Name, left: Process, right: Process, kl, kr, ids: bool):
     if not (is_dcontext(n) and is_dcontext(m)):
         return None
     if isinstance(a, Forward) or isinstance(b, Forward):
-        if not ids:
-            return None
         return _forward(x, n, a, right) if isinstance(a, Forward) \
             else _forward(x, m, b, left)
     pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
@@ -336,12 +337,13 @@ def _linear_forwarders(p: Process, beside: frozenset = frozenset()) -> bool:
 
 def _first_dstep(q: Process):
     """The D-step that `trace` takes from the scope-normal state q, with
-    its raw target, or None: the first in `_search` order, where an `id`
-    step counts only if q's forwarders are linear."""
-    found = _dstep(q, q._key, True)
+    its raw target, or None: the first in `_search` order, unless that is
+    an `id` step and q's forwarders are not linear (untyped input only),
+    where q is expanded by all its steps."""
+    found = _dstep(q, q._key)
     if found is not None and found[0].rule == "id" \
             and not _linear_forwarders(q):
-        found = _dstep(q, q._key, False)
+        return None
     return found
 
 
