@@ -1,26 +1,59 @@
 """Channel names: an id drawn from a supply, and a display.
 
 Binders are freshened at every introduction (parse, rule instantiation,
-copy) from the supply at hand. Equality and hashing compare the id and the
-display together: supplies are not shared, so names from two separate
+copy) from the supply at hand. Two names are equal exactly when their id
+and display are equal: supplies are not shared, so names from two separate
 parses can share an id. The translation of a λ term draws from a supply
 that starts above every id of the term and of its judgment, so it shares
 no id with the term. Printing reads the display.
+
+Names are interned (hash-consing; Filliâtre & Conchon, ML Workshop 2006):
+`Name(id, display)` returns the one live object for that pair, so equality
+and hashing are object identity, which the interpreter does without
+running Python code. The intern table holds its names weakly, so a name
+that nothing else references leaves it and a long run does not grow it.
+A hash is then an object address: iterating a set or dict of names follows
+memory layout, so output order must never rest on it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
 
 
-@dataclass(frozen=True)
 class Name:
+    """An interned, immutable channel name."""
+
+    __slots__ = ("id", "display", "__weakref__")
     id: int
-    display: str = "x"
+    display: str
+
+    def __new__(cls, id: int, display: str = "x") -> Name:
+        name = _TABLE.get((id, display))
+        if name is None:
+            name = object.__new__(cls)
+            object.__setattr__(name, "id", id)
+            object.__setattr__(name, "display", display)
+            _TABLE[id, display] = name
+        return name
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a Name")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of a Name")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the table
+        return Name, (self.id, self.display)
 
     def __repr__(self):
         return f"{self.display}#{self.id}"
+
+
+_TABLE: weakref.WeakValueDictionary[tuple[int, str], Name] = (
+    weakref.WeakValueDictionary())
 
 
 class NameSupply:

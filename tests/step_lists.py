@@ -6,7 +6,8 @@ Prints `eagerpi step FILE NAME --all --json` for every definition of
 and `eagerpi run FILE NAME --json` for every definition of the `.spi`
 files, each command's lines after a header line naming it. The order of
 the steps and of the normal forms is CLI output, so two runs under
-different hash seeds must print the same text:
+different hash seeds must print the same text, and so must two runs under
+one seed, since a name hashes by its object's address:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/step_lists.py > a.txt
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/step_lists.py > b.txt

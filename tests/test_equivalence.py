@@ -6,13 +6,14 @@ from itertools import islice
 
 from eagerpi.equivalence import (Prefix, bisim_eager, nd_precongruence,
                                  prefix_compatible, ready_prefixes,
-                                 succeeds_pi)
+                                 ready_signature, succeeds_pi)
 from eagerpi.gen import generate_process
 from eagerpi.names import NameSupply
 from eagerpi.parser import parse_spi
 from eagerpi.process import (Close, Inaction, NDChoice, Par, Restrict,
                              SomeAvail, Success, Wait, canonicalize,
-                             scope_rewrites)
+                             freshen_binders, scope_rewrites)
+from tests.conftest import spi_corpus
 
 s = NameSupply(1)
 x, y, z = s.fresh("x"), s.fresh("y"), s.fresh("z")
@@ -181,6 +182,16 @@ def test_bisim_cut_at_the_default_depth_stays_inconclusive(generated):
         ("inconclusive", "depth", None)
     res = bisim_eager(p, r, depth=64)
     assert (res.verdict, res.cause) == ("bisimilar", "none")
+
+
+def test_signatures_and_bisim_invariant_under_alpha_renaming():
+    # every binder renamed to an id far above the parser's: a name's hash
+    # is its object's address, so this also catches a verdict or signature
+    # that follows the iteration order of a set or dict of names
+    for name, p in spi_corpus().items():
+        q = freshen_binders(p, NameSupply(10 ** 9))
+        assert ready_signature(p) == ready_signature(q), name
+        assert bisim_eager(p, q, depth=64).verdict == "bisimilar", name
 
 
 def test_success_predicates():
