@@ -27,6 +27,16 @@ congruent does not depend on the context, so the pruned list is right
 wherever the node is reused. The key that tells alike parts is threaded
 down from the state's, since a walked node's key mirrors it.
 
+No step frees a bound name: a step of the cut `new x (L | R)` exists
+only where every free name of its target is free in `new x (L | R)`
+(`_frees`, on every target `_cut_steps` and `_dcut` build), as in CP's
+binary cut (Wadler, ICFP 2012). Typed processes never meet the check.
+On untyped input it refuses a close, none or id step that leaves a
+second holder of x outside the cut (`new x (([x<->y] | close x) |
+wait x. 0)`), and a comm step whose continuation uses the sent name
+(`process.BINDING` binds it there, but the target keeps only the payload
+and the receiver in its scope).
+
 Exhaustive `trace` follows one order of independent steps (an ample-set
 reduction: Peled, CAV 1993; Godefroid, LNCS 1032, 1996). A D-step of a
 state is a step with these properties:
@@ -34,59 +44,48 @@ state is a step with these properties:
   sum, and both of its contexts are D-contexts (`contexts.is_dcontext`);
 - on each side of the cut, the redex's own thread is the only thread on
   that side's spine with x free;
-- its rule is close, comm, sel:<label>, some or none; or repl, where x is
-  free neither in the client's continuation nor in the server's body; or
-  id, where the state's forwarders are linear: no forwarder has a name
-  free in a part beside it (`_linear_forwarders`).
+- its rule is close, comm, sel:<label>, some, none or id; or repl, where
+  x is free neither in the client's continuation nor in the server's
+  body.
 A state is expanded by its first D-step in `_search` order alone
-(`_first_dstep`), so the choice depends only on the state's form. It is
-expanded by all its steps where it has no D-step, and where its
-forwarders are not linear (untyped input only) and the first step that
-meets the other conditions is an id step. This is sound for the
-queries `trace` serves, which read the normal forms and the bound that
-cut the search, and the argument is syntactic, so it holds for untyped
-input too:
+(`_dstep`), so the choice depends only on the state's form, and by all
+its steps where it has none. This is sound for the queries `trace`
+serves, which read the normal forms and the bound that cut the search,
+and the argument is syntactic, so it holds for untyped input too:
 - Independence. Only the D-step's two threads hold x, both are spine
   threads, and no step reduces under a prefix. Another step synchronizes
   on another cut, so it cannot consume a prefix of theirs; it discards
   only the sum branches on its own contexts' paths, which hold neither of
   them nor the cut; and the threads it adds (continuations, a server's
   replica, the `none` failures of an expectation's dependencies) come
-  from threads without x free, so none competes for them. So the other
-  step leaves the D-step in place, and what is left of it is again a
-  D-step (for id, see Forwarders). Taking the two in either order reaches
-  congruent states: a one-step diamond. A repl D-step leaves its server
-  with no client and copies no x, so scope normalization collects the
-  server; a client that requests x again, or a server body that holds x,
-  would keep it.
+  from threads without x free, so none competes for them. It changes the
+  two threads at most by renaming, so the D-step still frees no name. So
+  the other step leaves the D-step in place, and what is left of it is
+  again a D-step (for id, see Forwarders). Taking the two in either
+  order reaches congruent states: a one-step diamond. A repl D-step
+  leaves its server with no client and copies no x, so scope
+  normalization collects the server; a client that requests x again, or
+  a server body that holds x, would keep it.
 - Forwarders. An id D-step dissolves the cut and puts the partner side,
   renamed to the forwarder's other name y, where the forwarder was. Only
   id steps take a forwarder, each on one of its names. Where the partner
-  is a forwarder too, its own id step fuses the same two forwarders. The
-  id step of a cut on y reaches the D-step's target up to alpha: by
-  linearity the forwarder is the only part with y free on its side of
-  that cut, so dissolving the cut on y and renaming its other side to x
-  gives that target with x for y. Any other step leaves the forwarder in
-  a D-context on the spine, at most renaming y or changing the partner
-  side, and these diamonds need no more than that, so they hold for what
-  is left of the D-step along any path. Reduction keeps forwarders
-  linear: a step removes parts, puts a continuation, a replica or a
-  failure where a part holding its names was, moves a payload to the
-  receiver's side of its cut, or renames a partner side to its
-  forwarder's other name, and none of these puts a part that holds a
-  name beside a forwarder that holds it. Typed processes are linear in
-  this sense (a forwarder's names are linear). Where a state is not, a
-  forwarder may share its cut's name with another part on its side; its
-  id step then frees that name, and the order of the steps can decide
-  the normal form, so there no id step is a D-step.
+  is a forwarder too, its own id step fuses the same two forwarders. An
+  id step of a cut on y exists only where no other part on the
+  forwarder's side of that cut holds y, so dissolving that cut and
+  renaming its other side to x reaches the D-step's target with x for y,
+  up to alpha. Any other step leaves the forwarder in a D-context on the
+  spine, at most renaming y or changing the partner side, and these
+  diamonds need no more than that, so they hold for what is left of the
+  D-step along any path.
 - Normal forms. A normal form has no step, so a path to one takes what is
   left of each D-step on it. Moving that step to the front through the
   diamonds keeps the path's length, so, by induction on the length, every
   normal form at depth d of the full graph is at depth d of the reduced
   one, within the same bound. A state that is not normal may sit deeper:
   two branches of a `++` can meet at one state after different numbers of
-  steps, and the reduced graph may hold only the longer one
-  (`tests/test_dstep.py` lists where that happens in the corpus).
+  steps, and the reduced graph may hold only the longer one, and then be
+  cut at a bound where the full graph is complete (`tests/test_dstep.py`
+  lists where that happens).
 - Cycles. A D-step consumes two prefixes, or a forwarder and its cut, and
   nothing it copies survives, so it shrinks the process (counting its
   prefixes and forwarders, an expectation once more for each name it
@@ -143,7 +142,15 @@ def _cut_steps(x: Name, left: Process, right: Process, kl, kr):
                 pair = _axiom(x, n, a, m, b)
                 if pair is not None:
                     steps.append(pair)
-    return steps
+    return [st for st in steps if not _frees(x, left, right, st[1])]
+
+
+def _frees(x: Name, left: Process, right: Process, tgt: Process) -> bool:
+    """Whether the target of a step of the cut `new x (left | right)` has
+    a name free that the cut has not. Such a step does not exist: no step
+    frees a bound name (see the module docstring)."""
+    fn = free_names(tgt)
+    return x in fn or not fn <= free_names(left) | free_names(right)
 
 
 def _forward(x, n, a, there):
@@ -232,7 +239,8 @@ def _search(p: Process, key) -> list:
 
 
 def step_all(p: Process) -> list:
-    """The complete set of one-step eager reducts of p. Steps are
+    """The complete set of one-step eager reducts of p, none of which
+    frees a bound name (see the module docstring). Steps are
     deduplicated by rule tag and target identity modulo structural
     congruence (two redexes yielding congruent targets are the same
     reduction), with the targets kept in scope-normalized form."""
@@ -248,8 +256,7 @@ def step_all(p: Process) -> list:
 
 def _dstep(p: Process, key):
     """The first D-step of p in `_search` order, with its raw target, or
-    None (see `trace`), but for the linearity of forwarders that an `id`
-    step needs (`_first_dstep`). It walks only p's `|`/`new` spine: a
+    None (see the module docstring). It walks only p's `|`/`new` spine: a
     step inside a sum is no D-step."""
     match p:
         case Par(_, _):
@@ -295,62 +302,25 @@ def _dcut(x: Name, left: Process, right: Process, kl, kr):
     (n, a), (m, b) = dl[0], dr[0]
     if not (is_dcontext(n) and is_dcontext(m)):
         return None
-    if isinstance(a, Forward) or isinstance(b, Forward):
-        return _forward(x, n, a, right) if isinstance(a, Forward) \
-            else _forward(x, m, b, left)
-    pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
-    if pair is not None and pair[0].rule == "repl":
+    if isinstance(a, Forward):
+        pair = _forward(x, n, a, right)
+    elif isinstance(b, Forward):
+        pair = _forward(x, m, b, left)
+    else:
+        pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
+    if pair is None or _frees(x, left, right, pair[1]):
+        return None
+    if pair[0].rule == "repl":
         (_, client), (_, server) = pair[0].left, pair[0].right
         if x in free_names(client.cont) or x in free_names(server.cont):
             return None
     return pair
 
 
-def _linear_forwarders(p: Process, beside: frozenset = frozenset()) -> bool:
-    """Whether no forwarder in p has a name free in a part beside it.
-    Beside a part are its other parallel parts, the other side of a
-    restriction (but for the restricted name), an output's payload and
-    its continuation to each other, and every replica of a server body
-    to the body (but for the body's parameter). `beside` holds the free
-    names of the parts beside p on its way down from the state."""
-    match p:
-        case Forward(x, y):
-            return x != y and x not in beside and y not in beside
-        case Par(l, r) | Output(_, _, l, r):
-            return (_linear_forwarders(l, beside | free_names(r))
-                    and _linear_forwarders(r, beside | free_names(l)))
-        case Restrict(x, l, r):
-            return (_linear_forwarders(l, beside | (free_names(r) - {x}))
-                    and _linear_forwarders(r, beside | (free_names(l) - {x})))
-        case Server(_, z, q):
-            return _linear_forwarders(q, beside | (free_names(q) - {z}))
-        case NDChoice(l, r):
-            return (_linear_forwarders(l, beside)
-                    and _linear_forwarders(r, beside))
-        case Branch(_, branches):
-            return all(_linear_forwarders(q, beside) for _, q in branches)
-        case Input(_, _, c) | Client(_, _, c) | Select(_, _, c) \
-                | Wait(_, c) | SomeAvail(_, c) | Expect(_, _, c):
-            return _linear_forwarders(c, beside)
-    return True
-
-
-def _first_dstep(q: Process):
-    """The D-step that `trace` takes from the scope-normal state q, with
-    its raw target, or None: the first in `_search` order, unless that is
-    an `id` step and q's forwarders are not linear (untyped input only),
-    where q is expanded by all its steps."""
-    found = _dstep(q, q._key)
-    if found is not None and found[0].rule == "id" \
-            and not _linear_forwarders(q):
-        return None
-    return found
-
-
 def _reduced_steps(q: Process) -> list:
     """The steps of `trace`'s exhaustive search from the scope-normal
     state q: its D-step alone if it has one, else all of its steps."""
-    found = _first_dstep(q)
+    found = _dstep(q, q._key)
     if found is None:
         return [(_label(st.redex), st.target) for st in step_all(q)]
     rdx, tgt = found
@@ -375,11 +345,12 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
     graph of `graph.explore` in one order of independent steps: a state
     with a D-step is expanded by that step alone, see the module
     docstring; it has every normal form of the full graph within the
-    bound, at its depth), random (seeded single path), interactive
-    (chooser picks a step index, 0 to len(steps) - 1, at each node). A
-    path's nodes are expanded where it went on, and keep their first depth
-    when it passes again; its last node is unexpanded when it stops at the
-    bound."""
+    bound, at its depth, but a state that is not normal may sit deeper,
+    so `run` may report the bound where the full graph is complete),
+    random (seeded single path), interactive (chooser picks a step
+    index, 0 to len(steps) - 1, at each node). A path's nodes are
+    expanded where it went on, and keep their first depth when it passes
+    again; its last node is unexpanded when it stops at the bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
         return graph.explore(cp, _reduced_steps, term_key, bound,

@@ -261,10 +261,12 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
     # is complete, i.e. an expanded node; attacking from an unexpanded node
     # is never attempted, which keeps `alive` an over-approximation and
     # makes every "distinguished" verdict valid even on truncated graphs.
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(alive):
+    # Each round tests every alive pair against the pairs alive after the
+    # round before, so the move that eliminates a pair, and the witness,
+    # do not depend on the order of the set.
+    while True:
+        out = {}
+        for pair in alive:
             a, b = pair
             na, nb = gp[a], gq[b]
             why = None
@@ -279,9 +281,11 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
                         why = ("right", rule, b2, a)
                         break
             if why is not None:
-                alive.discard(pair)
-                reason[pair] = why
-                changed = True
+                out[pair] = why
+        if not out:
+            break
+        alive.difference_update(out)
+        reason.update(out)
 
     if (rp, rq) in alive:
         return BisimResult("bisimilar" if cause == "none" else "inconclusive",

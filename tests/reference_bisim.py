@@ -2,10 +2,14 @@
 
 These are `equivalence.bisim_eager` and its `_witness` as they were before
 the two sides shared one step table and complete graphs were decided by
-partition refinement, kept verbatim: each side is explored on its own,
-each state signed once per side, and every verdict comes from the greatest
-fixed point over all signature-equal pairs. `test_bisim_oracle.py` checks
-that the library gives the same verdict and witness on every case.
+partition refinement, kept verbatim but for one change: each side is
+explored on its own, each state signed once per side, and every verdict
+comes from the greatest fixed point over all signature-equal pairs. The
+one change is that the fixed point eliminates pairs in synchronous
+rounds, as the library does, each round against the pairs alive after
+the round before; eliminating them in the order of the set made the
+witness depend on the hash seed. `test_bisim_oracle.py` checks that the
+library gives the same verdict and witness on every case.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
     # is complete, i.e. an expanded node; attacking from an unexpanded node
     # is never attempted, which keeps `alive` an over-approximation and
     # makes every "distinguished" verdict valid even on truncated graphs.
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(alive):
+    # Each round tests every alive pair against the pairs alive after the
+    # round before, so the move that eliminates a pair, and the witness,
+    # do not depend on the order of the set.
+    while True:
+        out = {}
+        for pair in alive:
             a, b = pair
             na, nb = gp[a], gq[b]
             why = None
@@ -53,9 +59,11 @@ def bisim_eager(p: Process, q: Process, depth: int = 12,
                         why = ("right", rule, b2, a)
                         break
             if why is not None:
-                alive.discard(pair)
-                reason[pair] = why
-                changed = True
+                out[pair] = why
+        if not out:
+            break
+        alive.difference_update(out)
+        reason.update(out)
 
     if (rp, rq) in alive:
         if truncated:

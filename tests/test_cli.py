@@ -299,6 +299,21 @@ def _cli(*argv, env=None, stdin=None):
                           input=stdin, timeout=120)
 
 
+def test_bisim_witness_independent_of_the_hash_seed(tmp_path):
+    """The pair fixpoint eliminates pairs in synchronous rounds, so the
+    witness does not follow the order of a set of state keys: under the
+    old in-place loop, seed 2 printed another witness than seed 0."""
+    from tests.test_bisim_oracle import MOMENT_OF_CHOICE
+    f = tmp_path / "moc.spi"
+    f.write_text(MOMENT_OF_CHOICE)
+    runs = [_cli("bisim", str(f), "RIn", "SIn", "--json",
+                 env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "2", "70", "144")]
+    assert {r.returncode for r in runs} == {1}
+    assert len({r.stdout for r in runs}) == 1
+    assert json.loads(runs[0].stdout)["verdict"] == "distinguished"
+
+
 def test_interactive_bad_reply_exits_2():
     # a reply that is not a number, input that ends before a reply, and
     # step numbers out of range: movie `Full` offers one step at first, and

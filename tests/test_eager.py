@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from eagerpi.contexts import (Hole, NPar, NRes, NSum, commit, decompositions,
                               is_dcontext, plug)
 from eagerpi.eager import normal_forms, step_all, trace
@@ -97,6 +99,32 @@ def test_replication_keeps_server():
     # and the remaining client can still be served to completion
     tr = trace(tgt, 10)
     assert any(isinstance(n.process, Inaction) for n in tr.leaves())
+
+
+@pytest.mark.parametrize("text, scoped, rule", [
+    # the id step would leave x free in `close x`, the close step in the
+    # forwarder
+    ("new x (([x<->y] | close x) | wait x. 0)",
+     "new x (([x<->y] | close a) | wait x. 0)", "id"),
+    # the continuation `wait p. 0` would land outside the cut on p
+    ("new x (x!(p)(close p | wait p. 0) | x?(q). wait q. 0)",
+     "new x (x!(p)(close p | wait x. 0) | x?(q). wait q. close x)", "comm"),
+    ("new x (close x | (wait x. close a | wait x. close b))",
+     "new x (close x | (wait x. close a | wait b. close c))", "close"),
+    ("new x (none x | (expect x [a]. close x | close x))",
+     "new x (none x | (expect x [a]. close x | close b))", "none"),
+])
+def test_a_step_that_would_free_a_bound_name_is_no_step(text, scoped, rule):
+    # the untyped `text` has no step, and `check` rejects it; its
+    # variant `scoped`, which holds the name only where the target keeps
+    # it bound, steps by `rule`
+    from eagerpi.parser import parse_spi
+    from eagerpi.typecheck import SessionTypeError, infer_context
+    p, q = (parse_spi(f"def P = {t}").defs["P"][0] for t in (text, scoped))
+    assert step_all(p) == []
+    with pytest.raises(SessionTypeError):
+        infer_context(p)
+    assert [st.redex.rule for st in step_all(q)] == [rule]
 
 
 def test_step_all_closed_under_congruence(generated):

@@ -11,6 +11,12 @@ sample of their states, and on hand cases, both must list the same
 compared inside one `exploration` with the library's own exploration of
 them, so the memos it left are reused, and the hand cases step one node
 in two contexts of one exploration.
+
+The library takes no step that frees a bound name; the reference, kept
+as it was, still takes such steps on untyped input. So the reference's
+list is filtered first to the steps whose targets have no name free that
+the state has not. On the typed inputs of the sources, the filter
+removes no step.
 """
 
 import random
@@ -23,7 +29,8 @@ from eagerpi.gen import generate_corpus
 from eagerpi.names import Name
 from eagerpi.parser import parse_spi
 from eagerpi.process import (Close, Inaction, Par, Restrict, Wait,
-                             canonicalize, scope_rewrites, term_key)
+                             canonicalize, free_names, scope_rewrites,
+                             term_key)
 from tests import reference_steps as ref
 from tests.conftest import CLOSED, spi_corpus, translations
 
@@ -44,8 +51,13 @@ def _library(p):
                    for st in step_all(p))
 
 
+def _scoped(p, steps):
+    """The steps whose target has no name free that p has not."""
+    return [st for st in steps if free_names(st[2]) <= free_names(p)]
+
+
 def _reference(p):
-    return _listed(ref.step_all(p))
+    return _listed(_scoped(p, ref.step_all(p)))
 
 
 def _inputs(source):
@@ -70,7 +82,9 @@ def test_steps_match_reference(source):
     with exploration():
         for p in _inputs(source):
             got = _library(p)
-            assert got == _reference(p)
+            want = ref.step_all(p)
+            assert _scoped(p, want) == want
+            assert got == _listed(want)
             checked += 1
             steps += len(got)
     assert checked > 1 and steps > 1
@@ -142,13 +156,18 @@ def test_siblings_with_one_display_for_two_free_names_stay_apart():
     "def P = new x (close x | wait x. 0) ++ new u (close u | wait u. close a)",
     # a sum on one side of a cut: the step commits, dropping the other branch
     "def P = new x ((x#a. close x ++ close x) | x&{a: wait x. 0})",
-    # a sum of alike branches under a cut, and two alike waiting partners
+    # a sum of alike branches under a cut, and two alike waiting partners:
+    # closing with one would free x in the other, so there is no step
     "def P = new x ((close x ++ close x) | (wait x. 0 | wait x. 0))",
-    # forwarders on both sides of a cut
+    # the same with selections, which keep the cut
+    "def P = new x ((x#a. close x ++ x#a. close x) | "
+    "(x&{a: wait x. 0} | x&{a: wait x. 0}))",
+    # forwarders on both sides of a cut; a forwarder beside another that
+    # holds x would free it, only the lone one on its side steps
     "def P = new x ([x<->a] | [x<->b])",
     "def P = new x ([a<->x] | ([x<->b] | [x<->c]))",
 ])
 def test_hand_cases_match_reference(text):
     p = _spi(text)
     got = _library(p)
-    assert got == _reference(p) and got
+    assert got == _reference(p) and ref.step_all(p)
