@@ -9,12 +9,10 @@ synchronization inside a choice discards the branches not involved in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .names import Name
-from .process import (Forward, NDChoice, Par, Process, Restrict, Success,
-                      PREFIXED, alike, free_names, keyed_parts, par_all,
-                      sum_all)
+from .process import (Forward, NDChoice, Par, Process, Restrict, PREFIXED,
+                      alike, free_names, keyed_parts, par_all, sum_all)
 
 
 class NDContext:
@@ -72,27 +70,13 @@ def commit(ctx: NDContext) -> NDContext:
     raise TypeError(f"not an ND-context: {ctx!r}")
 
 
-def is_dcontext(ctx: NDContext) -> bool:
-    match ctx:
-        case Hole():
-            return True
-        case NPar(c, _) | NRes(_, c, _):
-            return is_dcontext(c)
-        case NSum(_, _):
-            return False
-    raise TypeError(f"not an ND-context: {ctx!r}")
-
-
-def decompositions(p: Process, x: Optional[Name] = None, key=None):
-    """All ways to write p as N[q] with q a prefixed process, a forwarder,
-    or the success constant. Parallel components and both sides of every
-    sum are explored (the commutativity axioms make the hole reachable on
-    either side).
-
-    With a cut name `x`, only the redex positions of a cut on x: q is a
-    prefix with subject x or a forwarder on x, and the search enters only
-    parts that hold x free; a context's siblings are assembled only for
-    such a q. With `key`, the key a walk gave p, a parallel part alike
+def decompositions(p: Process, x: Name, key=None):
+    """The redex positions of a cut on x in p: the ways to write p as N[q]
+    with q a prefix with subject x or a forwarder on x. Parallel
+    components and both sides of every sum are explored (the
+    commutativity axioms make the hole reachable on either side), but
+    only parts that hold x free; a context's siblings are assembled only
+    for such a q. With `key`, the key a walk gave p, a parallel part alike
     (`process.alike`) to the part before it is skipped: its steps are
     those of that part, up to congruence."""
     out = []
@@ -103,11 +87,10 @@ def decompositions(p: Process, x: Optional[Name] = None, key=None):
 def _decompose(p: Process, x, key, wrap, out: list):
     """Append the decompositions of p to `out`, each context built once by
     `wrap`, which puts it in the enclosing context."""
-    if x is not None and x not in free_names(p):
+    if x not in free_names(p):
         return
-    if isinstance(p, PREFIXED) or isinstance(p, (Forward, Success)):
-        if x is None or x == p.x or isinstance(p, Forward) and x == p.y:
-            out.append((wrap(Hole()), p))
+    if isinstance(p, Forward) or isinstance(p, PREFIXED) and p.x == x:
+        out.append((wrap(Hole()), p))
     elif isinstance(p, (Par, NDChoice)):
         nest, join = (NPar, par_all) if isinstance(p, Par) else (NSum, sum_all)
         parts, keys = keyed_parts(p, key)

@@ -29,8 +29,8 @@ down from the state's, since a walked node's key mirrors it.
 
 No step frees a bound name: a step of the cut `new x (L | R)` exists
 only where every free name of its target is free in `new x (L | R)`
-(`_frees`, on every target `_cut_steps` and `_dcut` build), as in CP's
-binary cut (Wadler, ICFP 2012). Typed processes never meet the check.
+(`_frees`, on every target `_cut_steps` builds), as in CP's binary
+cut (Wadler, ICFP 2012). Typed processes never meet the check.
 On untyped input it refuses a close, none or id step that leaves a
 second holder of x outside the cut (`new x (([x<->y] | close x) |
 wait x. 0)`), and a comm step whose continuation uses the sent name
@@ -40,13 +40,13 @@ and the receiver in its scope).
 Exhaustive `trace` follows one order of independent steps (an ample-set
 reduction: Peled, CAV 1993; Godefroid, LNCS 1032, 1996). A D-step of a
 state is a step with these properties:
-- its cut `new x (L | R)` lies on the state's `|`/`new` spine, under no
-  sum, and both of its contexts are D-contexts (`contexts.is_dcontext`);
-- on each side of the cut, the redex's own thread is the only thread on
-  that side's spine with x free;
-- its rule is close, comm, sel:<label>, some, none or id; or repl, where
-  x is free neither in the client's continuation nor in the server's
-  body.
+- its cut `new x (L | R)` lies on the state's `|`/`new` spine, and on
+  each side the redex's context is a D-context none of whose siblings
+  holds x (`_alone`): the redex's thread is the one thread on that
+  side's spine with x free;
+- it is the cut's first step in `_cut_steps` order, and its rule is
+  close, comm, sel:<label>, some, none or id; or repl, where x is free
+  neither in the client's continuation nor in the server's body.
 A state is expanded by its first D-step in `_search` order alone
 (`_dstep`), so the choice depends only on the state's form, and by all
 its steps where it has none. This is sound for the queries `trace`
@@ -104,7 +104,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import graph, process
-from .contexts import Hole, commit, decompositions, is_dcontext, plug
+from .contexts import Hole, NSum, commit, decompositions, plug
 from .names import Name
 from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
@@ -128,12 +128,10 @@ class ReductionStep:
     target: Process
 
 
-def _cut_steps(x: Name, left: Process, right: Process, kl, kr):
-    """Axiom instances for the cut `new x (left | right)`, whose sides a
-    walk keyed kl and kr (or None)."""
+def _cut_steps(x: Name, left: Process, right: Process, dl, dr):
+    """Axiom instances for the cut `new x (left | right)` from its sides'
+    decompositions on x; `_search` and `_dcut` build every step here."""
     steps = []
-    dl = decompositions(left, x, kl)
-    dr = decompositions(right, x, kr)
     for here, there, dh, dt in ((left, right, dl, dr), (right, left, dr, dl)):
         for n, a in dh:
             if isinstance(a, Forward) and a.x != a.y:
@@ -164,31 +162,32 @@ def _forward(x, n, a, there):
 
 def _axiom(x, n, a, m, b):
     """Match one axiom of the eager semantics with `a` under context n and
-    `b` under m; returns the redex and the literal right-hand side."""
+    `b` under m, both prefixes on x; returns the redex and the literal
+    right-hand side."""
     match a, b:
-        case Close(xa), Wait(xb, q) if xa == x and xb == x:
+        case Close(), Wait(_, q):
             tgt = Par(plug(commit(n), Inaction()), plug(commit(m), q))
             return Redex("close", x, (n, a), (m, b)), tgt
-        case Output(xa, y, pl, cont), Input(xb, z, r) if xa == x and xb == x:
+        case Output(_, y, pl, cont), Input(_, z, r):
             recv = plug(commit(m), substitute(r, y, z))
             tgt = plug(commit(n), Restrict(x, cont, Restrict(y, pl, recv)))
             return Redex("comm", x, (n, a), (m, b)), tgt
-        case Select(xa, lab, cont), Branch(xb, _) if xa == x and xb == x:
+        case Select(_, lab, cont), Branch():
             bm = branch_map(b)
             if lab not in bm:
                 return None
             tgt = Restrict(x, plug(commit(n), cont), plug(commit(m), bm[lab]))
             return Redex(f"sel:{lab}", x, (n, a), (m, b)), tgt
-        case Client(xa, y, cont), Server(xb, z, q) if xa == x and xb == x:
+        case Client(_, y, cont), Server(_, z, q):
             replica = freshen_binders(substitute(q, y, z))
             inner = Restrict(x, Restrict(y, plug(commit(n), cont), replica),
                              Server(x, z, q))
             tgt = plug(commit(m), inner)
             return Redex("repl", x, (n, a), (m, b)), tgt
-        case SomeAvail(xa, cont), Expect(xb, _, q) if xa == x and xb == x:
+        case SomeAvail(_, cont), Expect(_, _, q):
             tgt = Restrict(x, plug(commit(n), cont), plug(commit(m), q))
             return Redex("some", x, (n, a), (m, b)), tgt
-        case NoneAvail(xa), Expect(xb, deps, _) if xa == x and xb == x:
+        case NoneAvail(), Expect(_, deps, _):
             fails = par_all([NoneAvail(w) for w in deps])
             tgt = Par(plug(commit(n), Inaction()), plug(commit(m), fails))
             return Redex("none", x, (n, a), (m, b)), tgt
@@ -234,7 +233,8 @@ def _search(p: Process, key) -> list:
                 out.append((rdx, Restrict(x, tgt, r)))
             for rdx, tgt in _memo_steps(r, kr):
                 out.append((rdx, Restrict(x, l, tgt)))
-            out.extend(_cut_steps(x, l, r, kl, kr))
+            out.extend(_cut_steps(x, l, r, decompositions(l, x, kl),
+                                  decompositions(r, x, kr)))
     return out
 
 
@@ -280,41 +280,33 @@ def _dstep(p: Process, key):
     return None
 
 
-def _one_holder(p: Process, x: Name) -> bool:
-    """Whether exactly one thread on p's `|`/`new` spine has x free."""
-    while isinstance(p, (Par, Restrict)):
-        left, right = x in free_names(p.left), x in free_names(p.right)
-        if left == right:
+def _alone(ctx, x: Name) -> bool:
+    """Whether ctx is a D-context none of whose siblings holds x: its hole
+    is then its side's one redex position on x, and its thread the one
+    thread on that side's spine with x free."""
+    while not isinstance(ctx, Hole):
+        if isinstance(ctx, NSum) or x in free_names(ctx.rest):
             return False
-        p = p.left if left else p.right
-    return x in free_names(p)
+        ctx = ctx.ctx
+    return True
 
 
 def _dcut(x: Name, left: Process, right: Process, kl, kr):
-    """The D-step of the cut `new x (left | right)`, or None. Where each
-    side has one thread with x free, it is the cut's first step in
-    `_cut_steps` order, since each side has one redex position."""
-    if not (_one_holder(left, x) and _one_holder(right, x)):
-        return None
+    """The D-step of the cut `new x (left | right)`, or None: where each
+    side's first decomposition stands alone (`_alone`), the cut's first
+    step in `_cut_steps` order, unless it is a repl step that leaves x in
+    use."""
     dl, dr = decompositions(left, x, kl), decompositions(right, x, kr)
-    if len(dl) != 1 or len(dr) != 1:
+    if not (dl and dr and _alone(dl[0][0], x) and _alone(dr[0][0], x)):
         return None
-    (n, a), (m, b) = dl[0], dr[0]
-    if not (is_dcontext(n) and is_dcontext(m)):
+    steps = _cut_steps(x, left, right, dl, dr)
+    if not steps:
         return None
-    if isinstance(a, Forward):
-        pair = _forward(x, n, a, right)
-    elif isinstance(b, Forward):
-        pair = _forward(x, m, b, left)
-    else:
-        pair = _axiom(x, n, a, m, b) or _axiom(x, m, b, n, a)
-    if pair is None or _frees(x, left, right, pair[1]):
+    rdx = steps[0][0]
+    if rdx.rule == "repl" and (x in free_names(rdx.left[1].cont)
+                               or x in free_names(rdx.right[1].cont)):
         return None
-    if pair[0].rule == "repl":
-        (_, client), (_, server) = pair[0].left, pair[0].right
-        if x in free_names(client.cont) or x in free_names(server.cont):
-            return None
-    return pair
+    return steps[0]
 
 
 def _reduced_steps(q: Process) -> list:

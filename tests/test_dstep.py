@@ -9,7 +9,8 @@ leaves a D-step. They then check its consequences: the reduced graph has the
 full graph's normal forms at their full depths and the same cause (or,
 in `run_sweep.py`, is complete where the full graph is cut and has all
 its normal forms), and its size does not depend on how a process is
-written. Hand-made processes check the guards of `id` and `repl` D-steps.
+written. Hand-made processes check when a redex stands alone and the
+guards of `id` and `repl` D-steps.
 """
 
 import random
@@ -17,8 +18,11 @@ from collections import Counter
 
 import pytest
 
-from eagerpi.eager import _dstep, _local_steps, normal_forms, step_all, trace
+from eagerpi.contexts import decompositions
+from eagerpi.eager import (_alone, _dstep, _local_steps, normal_forms,
+                           step_all, trace)
 from eagerpi.parser import parse_spi
+from eagerpi.printer import process_text
 from eagerpi.process import exploration, scope_normalize, term_key
 from eagerpi.typecheck import typecheck
 from tests.conftest import (CLOSED, full_trace, perfbench_workloads,
@@ -212,6 +216,47 @@ def test_request_that_leaves_the_server_in_use_is_no_dstep():
     # the last request to a server is a D-step
     p, q = _only("def P = new x (?x!(r). close r | !x?(s). wait s. 0)")
     assert first_dstep(q)[0].rule == "repl"
+
+
+# A redex whose context has a sibling that holds the cut name, or a sum
+# on its path, does not stand alone (`_alone`): its cut has steps, but
+# none of them is a D-step.
+NOT_ALONE = (
+    # two alike holders on one side (untyped)
+    "new x (x#a. close x | (x&{a: wait x. close a} | "
+    "x&{a: wait x. close a}))",
+    # a holder of x under another thread's prefix (untyped)
+    "new x (x#a. close x | (x&{a: wait x. close a} | "
+    "wait y. x&{a: wait x. close b}))",
+    # the redex under a `++`
+    "new x (x#a. close x | (x&{a: wait x. close a} ++ close b))",
+)
+
+
+@pytest.mark.parametrize("text", NOT_ALONE)
+def test_a_redex_that_does_not_stand_alone_is_no_dstep(text):
+    p, q = _only(f"def P = {text}")
+    firsts = [decompositions(side, q.x)[0][0] for side in (q.left, q.right)]
+    assert not all(_alone(ctx, q.x) for ctx in firsts)
+    assert step_all(q) and first_dstep(q) is None
+    assert {term_key(n) for n in normal_forms(p)} == \
+        {n.key for n in full_trace(p, 64).leaves()}
+
+
+@pytest.mark.parametrize("text, target", [
+    ("new x ([x<->x] | [x<->y])", "[y<->y]"),
+    ("new x ([x<->x] | (close y | [x<->y]))", "(close y | [y<->y])"),
+])
+def test_id_dstep_whose_partner_is_a_self_forwarder(text, target):
+    # untyped: the self-forwarder [x<->x] has no `id` step of its own (it
+    # would leave x free); the cut's one step is the other forwarder's,
+    # and that step is the D-step
+    p, q = _only(f"def P = {text}")
+    assert [st.redex.rule for st in step_all(q)] == ["id"]
+    rdx, tgt = first_dstep(q)
+    assert rdx.rule == "id"
+    assert process_text(scope_normalize(tgt)) == target
+    assert [process_text(n) for n in normal_forms(p)] == [target]
 
 
 def test_untyped_second_holder_next_to_a_forwarder_is_refused():

@@ -5,14 +5,15 @@ import dataclasses
 import pytest
 
 from eagerpi.contexts import (Hole, NPar, NRes, NSum, commit, decompositions,
-                              is_dcontext, plug)
-from eagerpi.eager import normal_forms, step_all, trace
+                              plug)
+from eagerpi.eager import _alone, normal_forms, step_all, trace
 from eagerpi.names import NameSupply
 from eagerpi.printer import process_text
 from eagerpi.process import (Branch, Close, Inaction, NDChoice, Par, Process,
                              Restrict, Select, SomeAvail, Success, Wait,
-                             canonicalize, freshen_binders, scope_rewrites,
-                             struct_congruent, sum_parts, term_key)
+                             canonicalize, free_names, freshen_binders,
+                             scope_rewrites, struct_congruent, sum_parts,
+                             term_key)
 from tests import reference_canon as ref
 from tests.conftest import full_trace
 
@@ -33,7 +34,7 @@ def test_commit_composed_clauses():
     n = NPar(NSum(Hole(), Close(y)), Close(x))
     c = commit(n)
     assert isinstance(c, NPar) and isinstance(c.ctx, Hole)
-    assert is_dcontext(c) and not is_dcontext(n)
+    assert _alone(c, y) and not _alone(n, y)
 
 
 def test_plug_round_trip():
@@ -46,22 +47,23 @@ def test_plug_round_trip():
 
 def test_decompositions_prefixed():
     p = SomeAvail(x, Inaction())
-    ds = decompositions(p)
+    ds = decompositions(p, x)
     assert len(ds) == 1
     ctx, q = ds[0]
     assert isinstance(ctx, Hole) and q is p
 
 
 def test_decompositions_sum_explores_both_sides():
-    a, b = Close(x), Close(y)
-    ds = decompositions(NDChoice(a, b))
+    a, b = Close(x), Wait(x, Inaction())
+    ds = decompositions(NDChoice(a, b), x)
     found = {id(q) for _, q in ds}
     assert found == {id(a), id(b)}
 
 
 def test_decompositions_eve_has_three_branches(movie):
     eve = movie.defs["Eve"][0]
-    assert len(decompositions(eve)) == 3
+    cut, = (n for n in free_names(eve) if n.display == "s")
+    assert len(decompositions(eve, cut)) == 3
 
 
 def test_movie_composition_three_steps(movie):

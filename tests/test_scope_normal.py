@@ -9,7 +9,8 @@ where the scope mode that came before split one graph in two.
 `tests/scope_sweep.py` runs more and longer walks. A star of ten or
 twenty restrictions around a few threads normalizes at once, in every
 nesting order, whether its binders are interchangeable, alone or only
-in pairs, or not at all.
+in pairs, or not at all, and so do the translation of the benchmark's
+largest fetch term, `A5_5`, and its one step (ROADMAP, known defect 1).
 """
 
 import itertools
@@ -18,14 +19,18 @@ import time
 
 import pytest
 
+from eagerpi import lam as L
+from eagerpi.eager import step_all
 from eagerpi.equivalence import explore
 from eagerpi.names import NameSupply
+from eagerpi.parser import parse_lc
 from eagerpi.process import (Close, Expect, Inaction, Par, Restrict, Wait,
                              freshen_binders, par_all, scope_normalize,
                              scope_rewrites, sum_all, term_key)
+from eagerpi.translate import translate
 from tests import reference_scope
-from tests.conftest import (CLOSED, assert_fixpoint, load_spi, spi_corpus,
-                            translations)
+from tests.conftest import (CLOSED, assert_fixpoint, load_spi,
+                            perfbench_workloads, spi_corpus, translations)
 
 
 def states(roots, bound):
@@ -140,6 +145,17 @@ def test_star_of_symmetric_binders_normalizes_at_once(shape):
         keys.add(term_key(scope_normalize(p)))
         assert time.perf_counter() - start < 2
     assert len(keys) == 1
+
+
+def test_large_translation_normalizes_and_steps_at_once():
+    m = parse_lc(perfbench_workloads().lambda_script()).defs["A5_5"][0]
+    start = time.perf_counter()
+    q = scope_normalize(translate(L.key_ordered(m))[0])
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    steps = step_all(q)
+    assert time.perf_counter() - start < 2
+    assert len(steps) == 1
 
 
 def test_a_restriction_held_twice_is_freshened():
