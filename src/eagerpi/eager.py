@@ -25,7 +25,8 @@ is searched. Alike parts are congruent, so the others' steps are its
 steps up to congruence, which `step_all` would drop as duplicates; being
 congruent does not depend on the context, so the pruned list is right
 wherever the node is reused. The key that tells alike parts is threaded
-down from the state's, since a walked node's key mirrors it.
+down from the state's, since a walked node's key mirrors it. `_dstep`
+skips no part: a cut with alike holders of x on a side has no D-step.
 
 No step frees a bound name: a step of the cut `new x (L | R)` exists
 only where every free name of its target is free in `new x (L | R)`
@@ -85,7 +86,8 @@ and the argument is syntactic, so it holds for untyped input too:
   two branches of a `++` can meet at one state after different numbers of
   steps, and the reduced graph may hold only the longer one, and then be
   cut at a bound where the full graph is complete (`tests/test_dstep.py`
-  lists where that happens).
+  lists where that happens). There `trace` explores the full graph to
+  the same bound and cap, and reports `none` if that is complete.
 - Cycles. A D-step consumes two prefixes, or a forwarder and its cut, and
   nothing it copies survives, so it shrinks the process (counting its
   prefixes and forwarders, an expectation once more for each name it
@@ -110,8 +112,8 @@ from .process import (Branch, Client, Close, Expect, Forward, Inaction, Input,
                       NDChoice, NoneAvail, Output, Par, Process, Restrict,
                       Select, Server, SomeAvail, Wait, alike, branch_map,
                       canonicalize, exploration, free_names, freshen_binders,
-                      keyed_parts, par_all, scope_normalize, substitute,
-                      sum_all, term_key)
+                      keyed_parts, par_all, par_parts, scope_normalize,
+                      substitute, sum_all, term_key)
 
 
 @dataclass(eq=False)
@@ -254,29 +256,26 @@ def step_all(p: Process) -> list:
     return list(seen.values())
 
 
-def _dstep(p: Process, key):
+def _dstep(p: Process):
     """The first D-step of p in `_search` order, with its raw target, or
     None (see the module docstring). It walks only p's `|`/`new` spine: a
     step inside a sum is no D-step."""
     match p:
         case Par(_, _):
-            parts, keys = keyed_parts(p, key)
+            parts = par_parts(p)
             for i, c in enumerate(parts):
-                if i and alike(parts[i - 1], keys[i - 1], c, keys[i]):
-                    continue
-                found = _dstep(c, keys[i])
+                found = _dstep(c)
                 if found is not None:
                     rdx, tgt = found
                     return rdx, par_all(parts[:i] + [tgt] + parts[i + 1:])
         case Restrict(x, l, r):
-            _, (kl, kr) = keyed_parts(p, key)
-            found = _dstep(l, kl)
+            found = _dstep(l)
             if found is not None:
                 return found[0], Restrict(x, found[1], r)
-            found = _dstep(r, kr)
+            found = _dstep(r)
             if found is not None:
                 return found[0], Restrict(x, l, found[1])
-            return _dcut(x, l, r, kl, kr)
+            return _dcut(x, l, r)
     return None
 
 
@@ -291,12 +290,12 @@ def _alone(ctx, x: Name) -> bool:
     return True
 
 
-def _dcut(x: Name, left: Process, right: Process, kl, kr):
+def _dcut(x: Name, left: Process, right: Process):
     """The D-step of the cut `new x (left | right)`, or None: where each
     side's first decomposition stands alone (`_alone`), the cut's first
     step in `_cut_steps` order, unless it is a repl step that leaves x in
-    use."""
-    dl, dr = decompositions(left, x, kl), decompositions(right, x, kr)
+    use. No alike part is skipped: it would hold x, so `_alone` fails."""
+    dl, dr = decompositions(left, x), decompositions(right, x)
     if not (dl and dr and _alone(dl[0][0], x) and _alone(dr[0][0], x)):
         return None
     steps = _cut_steps(x, left, right, dl, dr)
@@ -312,11 +311,16 @@ def _dcut(x: Name, left: Process, right: Process, kl, kr):
 def _reduced_steps(q: Process) -> list:
     """The steps of `trace`'s exhaustive search from the scope-normal
     state q: its D-step alone if it has one, else all of its steps."""
-    found = _dstep(q, q._key)
+    found = _dstep(q)
     if found is None:
-        return [(_label(st.redex), st.target) for st in step_all(q)]
+        return _all_steps(q)
     rdx, tgt = found
     return [(_label(rdx), scope_normalize(tgt))]
+
+
+def _all_steps(q: Process) -> list:
+    """Every step of the scope-normal state q, labelled `rule@cut`."""
+    return [(_label(st.redex), st.target) for st in step_all(q)]
 
 
 def normal_forms(p: Process, bound: int = 64, max_states: int = 20000):
@@ -337,16 +341,18 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
     graph of `graph.explore` in one order of independent steps: a state
     with a D-step is expanded by that step alone, see the module
     docstring; it has every normal form of the full graph within the
-    bound, at its depth, but a state that is not normal may sit deeper,
-    so `run` may report the bound where the full graph is complete),
+    bound, at its depth, and is reported cut only where the full one is),
     random (seeded single path), interactive (chooser picks a step
     index, 0 to len(steps) - 1, at each node). A path's nodes are
     expanded where it went on, and keep their first depth when it passes
     again; its last node is unexpanded when it stops at the bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
-        return graph.explore(cp, _reduced_steps, term_key, bound,
-                             max_states)
+        g = graph.explore(cp, _reduced_steps, term_key, bound, max_states)
+        if g.cause == "depth" and graph.explore(
+                cp, _all_steps, term_key, bound, max_states).cause == "none":
+            return g._replace(cause="none")
+        return g
     root = term_key(cp)
     node = graph.Node(root, cp, 0)
     nodes = {root: node}

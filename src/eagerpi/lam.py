@@ -462,8 +462,8 @@ def head_substitute(m, repl, occ):
 # ---------------------------------------------------------------------------
 # Reduction
 
-def _local_steps(m, h=None):
-    """One-step reducts of m at its root; `h` is head(m) if known."""
+def _local_steps(m, h):
+    """One-step reducts of m at its root; `h` is head(m)."""
     out = []
     match m:
         case App(Abs(_, _) as f, bg):
@@ -485,30 +485,26 @@ def _local_steps(m, h=None):
                 if set(vs) <= b.vars:
                     newset = (b.vars - set(vs)) | llfv_items(items)
                     out.append(("cons3", Fail(frozenset(newset))))
-            else:
-                h = head(b) if h is None else h
-                if isinstance(h, LinVar) and h.var in vs:
-                    j = vs.index(h.var)
-                    rest_vars = vs[:j] + vs[j + 1:]
-                    for i, item in enumerate(items):
-                        rest = items[:i] + items[i + 1:]
-                        body2 = head_substitute(b, item, h)
-                        out.append((f"fetch-lin:{i + 1}",
-                                    LinSub(body2, rest, rest_vars)))
+            elif isinstance(h, LinVar) and h.var in vs:
+                j = vs.index(h.var)
+                rest_vars = vs[:j] + vs[j + 1:]
+                for i, item in enumerate(items):
+                    rest = items[:i] + items[i + 1:]
+                    body2 = head_substitute(b, item, h)
+                    out.append((f"fetch-lin:{i + 1}",
+                                LinSub(body2, rest, rest_vars)))
         case UnrSub(b, slots, v):
             if isinstance(b, Fail):
                 out.append(("cons4", b))
-            else:
-                h = head(b) if h is None else h
-                if isinstance(h, UnrVar) and h.var == v:
-                    s = slot_at(slots, h.index)
-                    if s is None:
-                        body2 = head_substitute(b, Fail(frozenset()), h)
-                        out.append(("fail-unr", UnrSub(body2, slots, v)))
-                    else:
-                        body2 = head_substitute(b, freshen_term(s), h)
-                        out.append((f"fetch-unr:{h.index}",
-                                    UnrSub(body2, slots, v)))
+            elif isinstance(h, UnrVar) and h.var == v:
+                s = slot_at(slots, h.index)
+                if s is None:
+                    body2 = head_substitute(b, Fail(frozenset()), h)
+                    out.append(("fail-unr", UnrSub(body2, slots, v)))
+                else:
+                    body2 = head_substitute(b, freshen_term(s), h)
+                    out.append((f"fetch-unr:{h.index}",
+                                UnrSub(body2, slots, v)))
         case _:
             pass
     return out

@@ -794,8 +794,7 @@ def _cluster(p: Process, env: dict, depth: int):
     outer binders. Ties go to the first binder in input order."""
     names, binders, threads, holds, sides, live = _flatten(p, env, depth)
     holders = [a | b for a, b in sides]
-    walked, best = {}, {}
-    depth0 = depth
+    best = {}
     anon = {**env, **{n: -3 - i for i, n in enumerate(names)}}
 
     def parts(ts: int, open_: int) -> list:
@@ -818,10 +817,7 @@ def _cluster(p: Process, env: dict, depth: int):
         return out
 
     def thread(t: int, env: dict, depth: int):
-        k = (t, depth, *[env[names[i]] for i in _bits(holds[t])])
-        if k not in walked:
-            walked[k] = _walk(threads[t], env, depth, True)
-        return walked[k]
+        return _walk(threads[t], env, depth, True)
 
     def side(i: int, t: int) -> int:
         return sides[i][1] >> t & 1
@@ -859,7 +855,7 @@ def _cluster(p: Process, env: dict, depth: int):
                      for k, m in sigma.items())
             if b is not None:
                 e[names[b]] = -2
-            return thread(t, e, depth0)[1]
+            return thread(t, e, depth)[1]
 
         while todo:
             b = todo.pop()

@@ -55,13 +55,10 @@ def translations(names=None, file="corr.lc"):
 
 def full_trace(p, bound, max_states=20000):
     """The full reduction graph of p: `graph.explore` over every step of
-    `eager.step_all`, with `trace`'s `rule@cut` labels. Exhaustive
-    `trace` takes one D-step where a state has one; the tests that need
-    every interleaving read this graph."""
-    def steps(q):
-        return [(eager._label(st.redex), st.target)
-                for st in eager.step_all(q)]
-    return _graph(p, bound, max_states, step=steps)
+    `eager.step_all`, with `trace`'s `rule@cut` labels (`eager._all_steps`).
+    Exhaustive `trace` takes one D-step where a state has one; the tests
+    that need every interleaving read this graph."""
+    return _graph(p, bound, max_states, step=eager._all_steps)
 
 
 def _fresh(x):

@@ -3,8 +3,10 @@ term, as the CLI prints them.
 
 Prints `eagerpi step FILE NAME --all --json` for every definition of
 `corpus/movie.spi`, `vm.spi`, `generated.spi`, `corr.lc` and `ex32.lc`,
-and `eagerpi run FILE NAME --json` for every definition of the `.spi`
-files, each command's lines after a header line naming it. The order of
+and `eagerpi run FILE NAME --json` and `eagerpi run FILE NAME --bound 4
+--json` for every definition of the `.spi` files, each command's lines
+after a header line naming it. Many reduced graphs are cut at bound 4,
+so those lines also pin `run`'s check of the full graph. The order of
 the steps and of the normal forms is CLI output, so two runs under
 different hash seeds must print the same text, and so must two runs under
 one seed, since a name hashes by its object's address:
@@ -30,11 +32,14 @@ def main():
     for file in FILES:
         load = load_lc if file.endswith(".lc") else load_spi
         for name in load(file).defs:
-            commands = [["step", corpus_path(file), name, "--all", "--json"]]
+            path = corpus_path(file)
+            commands = {"step": ["step", path, name, "--all", "--json"]}
             if file.endswith(".spi"):
-                commands.append(["run", corpus_path(file), name, "--json"])
-            for args in commands:
-                print(f"-- {file} {name} {args[0]}", flush=True)
+                commands["run"] = ["run", path, name, "--json"]
+                commands["run --bound 4"] = ["run", path, name,
+                                             "--bound", "4", "--json"]
+            for label, args in commands.items():
+                print(f"-- {file} {name} {label}", flush=True)
                 code = cli(args)
                 if code:
                     return code

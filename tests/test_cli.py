@@ -6,8 +6,10 @@ import os
 import pytest
 
 from eagerpi.cli import main
-from eagerpi.parser import MAX_NESTING
-from tests.conftest import corpus_path
+from eagerpi.parser import MAX_NESTING, parse_spi
+from eagerpi.printer import process_text
+from tests.conftest import corpus_path, full_trace
+from tests.test_dstep import SPURIOUS_CUTS
 
 
 def run(capsys, *argv):
@@ -489,6 +491,24 @@ def test_complete_graph_at_the_bound_is_not_cut(capsys):
     code, out = run(capsys, "bisim", corpus_path("generated.spi"), "G028",
                     "G028", "--depth", "1")
     assert code == 0 and out.strip() == "bisimilar"
+
+
+@pytest.mark.parametrize("text", SPURIOUS_CUTS)
+def test_run_is_not_cut_where_the_full_graph_is_complete(capsys, tmp_path,
+                                                         text):
+    # the reduced graph is cut at bound 4, the full one is complete there
+    f = tmp_path / "p.spi"
+    f.write_text(f"def P = {text}\n")
+    p = parse_spi(f"def P = {text}").defs["P"][0]
+    normal = {process_text(n.state, canonical=True)
+              for n in full_trace(p, 4).leaves()}
+    code, out = run(capsys, "run", str(f), "P", "--bound", "4")
+    lines = out.splitlines()
+    assert code == 0 and normal and set(lines) == normal
+    code, out = run(capsys, "run", str(f), "P", "--bound", "4", "--json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == \
+        [{"normal": t} for t in lines]
 
 
 def test_type_errors_print_alike_in_every_run(tmp_path):

@@ -39,7 +39,7 @@ DEEPER = {("G103", bound): [(3, 2)] for bound in (4, 8, 16, 64)}
 def first_dstep(q):
     """The D-step that `trace` takes from the scope-normal state q, with
     its raw target, or None."""
-    return _dstep(q, q._key)
+    return _dstep(q)
 
 
 def differences(name, p, bound):
@@ -283,8 +283,9 @@ def test_untyped_second_holder_next_to_a_forwarder_is_refused():
 
 # Typed processes whose full graph at bound 4 is complete (17 states),
 # while the reduced graph (7 states) is cut there: a state that is not
-# normal sits at depth 4 of the reduced graph, and it has steps (ROADMAP,
-# known defect 5). Every normal form is still found, at its depth.
+# normal sits at depth 4 of the reduced graph, and it has steps. `trace`
+# then explores the full graph and reports the search complete (ROADMAP,
+# known defect 5). Every normal form is found, at its depth.
 SPURIOUS_CUTS = (
     "(new x ((new w ([x<->w] | some w. close w) ++ none x) | "
     "(expect x []. wait x. 0 ++ expect x []. wait x. 0)) | "
@@ -312,8 +313,6 @@ def test_reduced_graph_cut_where_the_full_one_is_complete_keeps_normal_forms(
         {(n.key, n.depth) for n in full.leaves()}
 
 
-@pytest.mark.xfail(strict=True, reason="known defect 5: the reduced graph "
-                   "is cut at the bound where the full one is complete")
 @pytest.mark.parametrize("text", SPURIOUS_CUTS)
 def test_reduced_graph_cut_where_the_full_one_is_complete_has_its_cause(text):
     full, reduced = _graphs(text)
