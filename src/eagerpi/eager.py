@@ -48,11 +48,17 @@ state is a step with these properties:
 - it is the cut's first step in `_cut_steps` order, and its rule is
   close, comm, sel:<label>, some, none or id; or repl, where x is free
   neither in the client's continuation nor in the server's body.
-A state is expanded by its first D-step in `_search` order alone
-(`_dstep`), so the choice depends only on the state's form, and by all
-its steps where it has none. This is sound for the queries `trace`
+A scope-normal state with a D-step is expanded by one chain of D-steps
+(`_reduced_steps`): its first D-step in `_search` order (`_dstep`), then
+the first D-step of each raw target in turn, until a target has none or
+the chain reaches the depth bound. Only the chain's last target is
+scope-normalized and keyed, and the one edge to it counts each step of
+the chain toward the depth. A state with no D-step is expanded by all
+its steps, each target normalized and keyed. Each choice depends only
+on the form of the state at hand. This is sound for the queries `trace`
 serves, which read the normal forms and the bound that cut the search,
-and the argument is syntactic, so it holds for untyped input too:
+and the argument is syntactic, so it holds for untyped input, and for
+raw targets, too:
 - Independence. Only the D-step's two threads hold x, both are spine
   threads, and no step reduces under a prefix. Another step synchronizes
   on another cut, so it cannot consume a prefix of theirs; it discards
@@ -89,11 +95,37 @@ and the argument is syntactic, so it holds for untyped input too:
   lists where that happens). There `trace` explores the full graph to
   the same bound and cap, and reports `none` if that is complete.
 - Cycles. A D-step consumes two prefixes, or a forwarder and its cut, and
-  nothing it copies survives, so it shrinks the process (counting its
-  prefixes and forwarders, an expectation once more for each name it
-  waits on). No cycle consists of D-steps alone, so every cycle of the
-  reduced graph passes a state expanded by all its steps (the cycle
-  proviso), and no step is put off for ever.
+  nothing it copies survives normalization (a repl D-step's replica
+  stands in for its server, which is left with no client), so it shrinks
+  the process's normal form (counting its prefixes and forwarders, an
+  expectation once more for each name it waits on). So every chain ends,
+  and no cycle consists of D-steps alone: every cycle of the reduced
+  graph passes a state expanded by all its steps (the cycle proviso), and
+  no step is put off for ever.
+- Raw spines and any order. The D-step's conditions and the bullets above
+  read only the form at hand, so they hold on a raw target as on a
+  scope-normal state, and a raw target's steps are those of its normal
+  form up to congruence. A raw spine can hold what normalization drops:
+  an unused restriction, which holds no name, and a server whose last
+  client was served, which holds the free names of its body. Either adds
+  holders at most, so it can make `_alone` refuse a D-step that the
+  normal form has (the chain then ends early, and its keyed end takes
+  that step), never the converse. The one-step diamonds of two D-steps
+  close with D-steps, and a chain ends, so every chain of D-steps from a
+  state that runs until none is left ends at one state up to congruence,
+  after one number of steps, whichever D-step each link takes (the
+  diamond lemma).
+- Depth. A chain from a state at depth d takes at most bound - d steps,
+  or one at the bound, where an edge counts only if its end is already
+  a node. Its edge counts all of them, and `graph.explore` gives each
+  node the least depth over the edges it finds, so a node's depth is the
+  length of a path of steps to it. By the diamonds, a normal form at
+  distance k from a state with a D-step is at distance k - 1 from that
+  step's target, so it is at distance k - n from the end of a chain of n
+  steps, and it keeps its full-graph depth. Inner states of a chain are
+  no nodes, so a state that a chain passes at its full depth can be a
+  node only where another path reaches it, deeper (`tests/test_dstep.py`
+  lists where), and so can a state where a chain was cut at the bound.
 Random and interactive traces, `step_all` and the graphs of
 `equivalence` (bisimilarity and the correspondence checks) take every
 step.
@@ -132,17 +164,18 @@ class ReductionStep:
 
 def _cut_steps(x: Name, left: Process, right: Process, dl, dr):
     """Axiom instances for the cut `new x (left | right)` from its sides'
-    decompositions on x; `_search` and `_dcut` build every step here."""
-    steps = []
+    decompositions on x, built one at a time: `_search` takes every step,
+    `_dcut` the first."""
     for here, there, dh, dt in ((left, right, dl, dr), (right, left, dr, dl)):
         for n, a in dh:
             if isinstance(a, Forward) and a.x != a.y:
-                steps.append(_forward(x, n, a, there))
+                st = _forward(x, n, a, there)
+                if not _frees(x, left, right, st[1]):
+                    yield st
             for m, b in dt:
-                pair = _axiom(x, n, a, m, b)
-                if pair is not None:
-                    steps.append(pair)
-    return [st for st in steps if not _frees(x, left, right, st[1])]
+                st = _axiom(x, n, a, m, b)
+                if st is not None and not _frees(x, left, right, st[1]):
+                    yield st
 
 
 def _frees(x: Name, left: Process, right: Process, tgt: Process) -> bool:
@@ -298,24 +331,32 @@ def _dcut(x: Name, left: Process, right: Process):
     dl, dr = decompositions(left, x), decompositions(right, x)
     if not (dl and dr and _alone(dl[0][0], x) and _alone(dr[0][0], x)):
         return None
-    steps = _cut_steps(x, left, right, dl, dr)
-    if not steps:
+    st = next(_cut_steps(x, left, right, dl, dr), None)
+    if st is None:
         return None
-    rdx = steps[0][0]
+    rdx = st[0]
     if rdx.rule == "repl" and (x in free_names(rdx.left[1].cont)
                                or x in free_names(rdx.right[1].cont)):
         return None
-    return steps[0]
+    return st
 
 
-def _reduced_steps(q: Process) -> list:
+def _reduced_steps(q: Process, room: int) -> list:
     """The steps of `trace`'s exhaustive search from the scope-normal
-    state q: its D-step alone if it has one, else all of its steps."""
+    state q, with `room` steps left to the bound: where q has a D-step,
+    one edge for the chain of D-steps from it, taken on raw targets until
+    one has none or the chain is `room` steps long, labelled with each
+    step's label and ending at the last target's normal form; else all of
+    q's steps."""
     found = _dstep(q)
     if found is None:
         return _all_steps(q)
-    rdx, tgt = found
-    return [(_label(rdx), scope_normalize(tgt))]
+    labels = []
+    while found is not None:
+        rdx, tgt = found
+        labels.append(_label(rdx))
+        found = _dstep(tgt) if len(labels) < room else None
+    return [(" ".join(labels), scope_normalize(tgt), len(labels))]
 
 
 def _all_steps(q: Process) -> list:
@@ -337,9 +378,11 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
           seed: int = 0, max_states: int = 20000,
           chooser: Optional[Callable] = None) -> graph.Graph:
     """The reduction graph of p to depth `bound`, nodes keyed by
-    `term_key` and edges labelled `rule@cut`. Strategies: exhaustive (the
-    graph of `graph.explore` in one order of independent steps: a state
-    with a D-step is expanded by that step alone, see the module
+    `term_key` and edges labelled `rule@cut` (the edge of a chain of
+    D-steps by its steps' labels, in order, space-separated). Strategies:
+    exhaustive (the graph of `graph.explore` in one order of independent
+    steps: a state with a D-step is expanded by the chain of D-steps from
+    it, one edge that counts each step toward the depth, see the module
     docstring; it has every normal form of the full graph within the
     bound, at its depth, and is reported cut only where the full one is),
     random (seeded single path), interactive (chooser picks a step
@@ -348,7 +391,8 @@ def trace(p: Process, bound: int, strategy: str = "exhaustive",
     again; its last node is unexpanded when it stops at the bound."""
     cp = scope_normalize(p)
     if strategy == "exhaustive":
-        g = graph.explore(cp, _reduced_steps, term_key, bound, max_states)
+        g = graph.explore(cp, _reduced_steps, term_key, bound, max_states,
+                          room=True)
         if g.cause == "depth" and graph.explore(
                 cp, _all_steps, term_key, bound, max_states).cause == "none":
             return g._replace(cause="none")

@@ -14,6 +14,10 @@ one seed, since a name hashes by its object's address:
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/step_lists.py > a.txt
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/step_lists.py > b.txt
     diff a.txt b.txt
+
+`tests/step_lists.txt` holds the expected output, so a run is also
+diffed against it: `diff tests/step_lists.txt a.txt`. A change that
+alters this output on purpose rewrites that file and says why.
 """
 
 import os

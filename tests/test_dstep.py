@@ -23,7 +23,8 @@ from eagerpi.eager import (_alone, _dstep, _local_steps, normal_forms,
                            step_all, trace)
 from eagerpi.parser import parse_spi
 from eagerpi.printer import process_text
-from eagerpi.process import exploration, scope_normalize, term_key
+from eagerpi.process import (Inaction, exploration, scope_normalize,
+                             term_key)
 from eagerpi.typecheck import typecheck
 from tests.conftest import (CLOSED, full_trace, perfbench_workloads,
                             spi_corpus, translations)
@@ -32,8 +33,18 @@ from tests.conftest import (CLOSED, full_trace, perfbench_workloads,
 # reduced graph that sit deeper than in the full graph. Two branches of a
 # `++` can meet at one state after different numbers of steps; where the
 # D-step taken earlier cut the shorter branch, the reduced graph reaches
-# the state along the longer one. Normal forms always keep their depth.
-DEEPER = {("G103", bound): [(3, 2)] for bound in (4, 8, 16, 64)}
+# the state along the longer one (G103). The inner states of a chain of
+# D-steps are no nodes: a state that a chain passes at its full depth is
+# keyed only where a state expanded by all its steps reaches it later
+# (G000: depth 5, where the chain passed it at 3), and a chain cut at the
+# bound ends at a state that other steps reach sooner (Full at 8). Normal
+# forms always keep their depth.
+DEEPER = {("G103", bound): [(3, 2)] for bound in (4, 8, 16, 64)} | {
+    ("G000", bound): [(5, 3)] for bound in (8, 16, 64)} | {
+    ("G005", bound): [(11, 10)] for bound in (16, 64)} | {
+    ("Composition", 4): [(4, 3)], ("Full", 8): [(8, 5)],
+    ("G002", 4): [(4, 3)], ("G018", 8): [(8, 7)], ("G030", 4): [(4, 3)],
+    ("G056", 4): [(4, 3), (4, 3)], ("G089", 8): [(8, 4)]}
 
 
 def first_dstep(q):
@@ -134,17 +145,19 @@ def test_reduced_graph_keeps_normal_forms_cause_and_depth():
             if n:
                 deeper[name, bound] = sorted(n)
     assert deeper == DEEPER
-    assert sizes == [1464, 735]
+    assert sizes == [1464, 405]
 
 
 def dstep_rules(p, bound):
     """How many D-steps of each rule the reduced graph of p at `bound`
-    takes (`sel:<label>` counts as `sel`)."""
+    takes (`sel:<label>` counts as `sel`): each step of the chain on the
+    one edge of each state expanded by its D-step."""
     counts = Counter()
     for node in trace(p, bound).nodes.values():
-        found = node.expanded and first_dstep(node.state)
-        if found:
-            counts[found[0].rule.split(":")[0]] += 1
+        if node.expanded and first_dstep(node.state):
+            (labels, _), = node.successors
+            counts.update(label.split("@")[0].split(":")[0]
+                          for label in labels.split())
     return counts
 
 
@@ -282,10 +295,10 @@ def test_untyped_second_holder_next_to_a_forwarder_is_refused():
 
 
 # Typed processes whose full graph at bound 4 is complete (17 states),
-# while the reduced graph (7 states) is cut there: a state that is not
-# normal sits at depth 4 of the reduced graph, and it has steps. `trace`
-# then explores the full graph and reports the search complete (ROADMAP,
-# known defect 5). Every normal form is found, at its depth.
+# while the reduced graph (5 and 6 states) is cut there: a state that is
+# not normal sits at depth 4 of the reduced graph, and it has steps.
+# `trace` then explores the full graph and reports the search complete
+# (ROADMAP, known defect 5). Every normal form is found, at its depth.
 SPURIOUS_CUTS = (
     "(new x ((new w ([x<->w] | some w. close w) ++ none x) | "
     "(expect x []. wait x. 0 ++ expect x []. wait x. 0)) | "
@@ -295,6 +308,7 @@ SPURIOUS_CUTS = (
     "| expect x []. expect x []. wait x. 0) | "
     "new x_1 (x_1#b. wait x_1. 0 | x_1&{a: close x_1, b: close x_1}))",
 )
+SPURIOUS_SIZES = dict(zip(SPURIOUS_CUTS, (5, 6)))
 
 
 def _graphs(text):
@@ -308,7 +322,9 @@ def test_reduced_graph_cut_where_the_full_one_is_complete_keeps_normal_forms(
         text):
     full, reduced = _graphs(text)
     assert (len(full.nodes), full.cause) == (17, "none")
-    assert len(reduced.nodes) == 7
+    assert len(reduced.nodes) == SPURIOUS_SIZES[text]
+    assert any(n.depth == 4 and n.has_steps and not n.expanded
+               for n in reduced.nodes.values())
     assert {(n.key, n.depth) for n in reduced.leaves()} == \
         {(n.key, n.depth) for n in full.leaves()}
 
@@ -316,4 +332,46 @@ def test_reduced_graph_cut_where_the_full_one_is_complete_keeps_normal_forms(
 @pytest.mark.parametrize("text", SPURIOUS_CUTS)
 def test_reduced_graph_cut_where_the_full_one_is_complete_has_its_cause(text):
     full, reduced = _graphs(text)
-    assert reduced.cause == full.cause
+    assert reduced.cause == full.cause == "none"
+
+
+def test_chain_that_crosses_the_bound_stops_at_it():
+    # three closes, each a D-step once the one before is taken: at bound
+    # 2 the chain from the root stops after two steps, at a state whose
+    # D-step leaves the bound, and the search is cut there, as is the
+    # full graph's; at bound 3 it runs to the normal form
+    p, q = _only("def P = new a (close a | wait a. new b (close b | "
+                 "wait b. new c (close c | wait c. 0)))")
+    g = trace(p, 2)
+    assert g.cause == full_trace(p, 2).cause == "depth"
+    assert [(n.depth, n.expanded, n.has_steps) for n in g.nodes.values()] \
+        == [(0, True, True), (2, False, True)]
+    assert g.nodes[g.root].successors[0][0] == "close@a close@b"
+    g = trace(p, 3)
+    assert g.cause == "none"
+    assert [(n.depth, n.successors) for n in g.nodes.values()] == \
+        [(0, [("close@a close@b close@c", term_key(Inaction()))]),
+         (3, [])]
+
+
+# Chains whose raw spine holds what scope normalization drops: an unused
+# restriction that the chain passes through, and a server whose last
+# client was served. The uncollected server holds `a`, so the raw spine
+# shows no D-step on the cut on a; the chain ends there, and its end's
+# normal form, without the server, takes that D-step.
+RAW_SPINES = {
+    "new c (close c | wait c. new a (new u (close a | 0) | wait a. 0))":
+        ["close@c close@a"],
+    "new a (new x (?x!(r). close r | !x?(s). wait s. close a) | "
+    "wait a. 0)": ["repl@x close@r", "close@a"],
+}
+
+
+@pytest.mark.parametrize("text", RAW_SPINES)
+def test_chain_on_a_raw_spine_keeps_normal_forms_and_depths(text):
+    p, _ = _only(f"def P = {text}")
+    g = trace(p, 64)
+    assert [label for n in g.nodes.values() for label, _ in n.successors] \
+        == RAW_SPINES[text]
+    assert {(n.key, n.depth) for n in g.leaves()} == \
+        {(n.key, n.depth) for n in full_trace(p, 64).leaves()}
